@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import combsum, independence, invariants, sixj
 from .forms import BinaryForm, generic_form, load_form, random_form
-from .invariants import covariant_hash, scalar_str
+from .invariants import covariant_hash
 from .umbral import parse_bracket, umbral_eval
 
 
@@ -25,20 +25,19 @@ class RunConfig:
     seed: int = 0
     format: str = "json"
     out: str | None = None
-    jobs: int = 1
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for any random sampling")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes where supported")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    return RunConfig(seed=args.seed, format=args.format, out=args.out, jobs=args.jobs)
+    return RunConfig(seed=args.seed, format=args.format, out=args.out)
 
 
 def _csv_escape(v) -> str:
@@ -99,7 +98,7 @@ def _resolve_form(args: argparse.Namespace, d: int, cfg: RunConfig) -> tuple[Bin
 
 
 def _form_report(form: BinaryForm) -> list[str]:
-    return [scalar_str(c) for c in form.coeffs]
+    return [str(c) for c in form.coeffs]
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -139,19 +138,19 @@ def _run_invariant(args: argparse.Namespace, cfg: RunConfig) -> dict:
         report["coeffs"] = _form_report(form)
     if args.invariant_cmd == "P":
         value = invariants.trace_invariant(form, args.n, args.p)
-        report.update({"n": args.n, "p": args.p, "value": scalar_str(value)})
+        report.update({"n": args.n, "p": args.p, "value": str(value)})
     elif args.invariant_cmd == "H":
         coeffs = invariants.charpoly_invariants(form, args.n)
         report.update({"n": args.n, "charpoly": [str(c) for c in coeffs]})
     else:  # shioda
         value = invariants.shioda_invariant(args.idx, form)
-        report.update({"idx": args.idx, "value": scalar_str(value)})
+        report.update({"idx": args.idx, "value": str(value)})
     return report
 
 
 def _run_independence(args: argparse.Namespace, cfg: RunConfig) -> dict:
     report = independence.independence_certificate(
-        args.k, include_random_point=args.random_point, seed=cfg.seed, jobs=cfg.jobs
+        args.k, include_random_point=args.random_point, seed=cfg.seed
     )
     report["seed"] = cfg.seed
     return report
@@ -180,7 +179,7 @@ def _run_sixj(args: argparse.Namespace, cfg: RunConfig) -> dict | None:
     # grid: the written file is the report
     if not cfg.out:
         raise ValueError("sixj grid requires --out FILE.ppm or FILE.csv")
-    grid = sixj.sign_grid(rows=args.rows, cols=args.cols, jobs=cfg.jobs)
+    grid = sixj.sign_grid(rows=args.rows, cols=args.cols)
     if cfg.out.endswith(".ppm"):
         text = sixj.grid_to_ppm(grid)
     elif cfg.out.endswith(".csv"):
@@ -215,7 +214,7 @@ def _run_bracket(args: argparse.Namespace, cfg: RunConfig) -> dict:
         "expr": args.expr,
         "degree": d,
         "order": value.degree,
-        "coeffs": [scalar_str(c) for c in value.coeffs],
+        "coeffs": [str(c) for c in value.coeffs],
         "sha256": covariant_hash(value),
         "source": source,
         "seed": cfg.seed,

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Factorials up to this cap are cached in a growable table; the 6j scans
-# hit small factorials millions of times.  Above the cap, values are
-# computed incrementally from the table end and not retained.
+# Factorials up to this cap are cached in a growable table; t_coeff (through
+# fact_product) and the combsum identities ask for the same small factorials
+# over and over.  Above the cap, values are computed incrementally from the
+# table end and not retained.
 FACT_CACHE_CAP = 100_000
 
 _fact_cache = [1]

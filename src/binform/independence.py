@@ -16,7 +16,6 @@ antidiagonal determinant, nonzero exactly when every N(k, r) is nonzero.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .combsum import nkr
@@ -27,10 +26,9 @@ from .polyring import RingMatrix, det_exact, rank_exact
 from .transvect import t_coeff
 
 
-def _gradient_row(task: tuple[tuple[Fraction, ...], int, int]) -> tuple[Fraction, ...]:
-    coeffs, k, r = task
+def _gradient_row(power: RingMatrix, k: int, r: int) -> tuple[Fraction, ...]:
+    """Gradient of tr(M^r) from ``power`` = M^(r-1)."""
     d = 2 * k
-    power = transvection_matrix(BinaryForm(coeffs), k).pow(r - 1)
     row = [Fraction(0)] * (d + 1)
     for i in range(k + 1):
         for j in range(k + 1):
@@ -41,10 +39,10 @@ def _gradient_row(task: tuple[tuple[Fraction, ...], int, int]) -> tuple[Fraction
     return tuple(row)
 
 
-def jacobian_matrix(form: BinaryForm, jobs: int = 1) -> RingMatrix:
+def jacobian_matrix(form: BinaryForm) -> RingMatrix:
     """Rows r = 2..k+1 hold the gradient of tr(M^r) at the given numeric
-    form of degree 2k; shape k x (2k+1).  Rows are independent, so they may
-    be computed by worker processes without affecting the result."""
+    form of degree 2k; shape k x (2k+1).  One running power of M serves
+    every row, so the whole matrix costs k - 1 matrix products."""
     if not form.is_numeric():
         raise ValueError("the Jacobian is evaluated at numeric forms")
     d = form.degree
@@ -53,12 +51,13 @@ def jacobian_matrix(form: BinaryForm, jobs: int = 1) -> RingMatrix:
     k = d // 2
     if k % 2 or k < 2:
         raise ValueError(f"need k = d/2 even and >= 2, got k = {k}")
-    tasks = [(form.coeffs, k, r) for r in range(2, k + 2)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_gradient_row, tasks))
-    else:
-        rows = [_gradient_row(t) for t in tasks]
+    m = transvection_matrix(form, k)
+    power = m
+    rows = []
+    for r in range(2, k + 2):
+        rows.append(_gradient_row(power, k, r))
+        if r <= k:
+            power = power.mul(m)
     return RingMatrix(rows)
 
 
@@ -87,13 +86,11 @@ def unstable_minor(k: int) -> Fraction:
     return det_exact(RingMatrix([row[:k] for row in full.rows]))
 
 
-def independence_certificate(
-    k: int, include_random_point: bool = False, seed: int = 0, jobs: int = 1
-) -> dict:
+def independence_certificate(k: int, include_random_point: bool = False, seed: int = 0) -> dict:
     """Rank certificate at the nullcone witness (and optionally at a seeded
     random integer form); the invariants are independent iff rank = k."""
     witness = unstable_form(k)
-    rank = rank_exact(jacobian_matrix(witness, jobs=jobs))
+    rank = rank_exact(jacobian_matrix(witness))
     minor = unstable_minor(k)
     report = {
         "k": k,
@@ -110,6 +107,6 @@ def independence_certificate(
         point = random_form(2 * k, rng)
         report["random_point"] = {
             "coeffs": [str(c) for c in point.coeffs],
-            "rank": rank_exact(jacobian_matrix(point, jobs=jobs)),
+            "rank": rank_exact(jacobian_matrix(point)),
         }
     return report

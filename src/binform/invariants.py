@@ -120,17 +120,12 @@ def p2_closed_form(form: BinaryForm, n: int):
     return const * transvectant(form, form, 2 * k).constant()
 
 
-def scalar_str(x) -> str:
-    """Canonical decimal string of a Fraction or MultiPoly."""
-    return str(x)
-
-
 def covariant_hash(x) -> str:
     """sha256 of the canonical serialization of a scalar or BinaryForm."""
     if isinstance(x, BinaryForm):
-        text = f"order={x.degree};" + ";".join(scalar_str(c) for c in x.coeffs)
+        text = f"order={x.degree};" + ";".join(str(c) for c in x.coeffs)
     else:
-        text = scalar_str(x)
+        text = str(x)
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 

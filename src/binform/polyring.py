@@ -25,8 +25,6 @@ from fractions import Fraction
 
 from .exactnum import alt_sign
 
-Scalar = Fraction  # ring elements below are Fraction or MultiPoly
-
 
 def _as_coeff(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -223,28 +221,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
-
-
-# convenience wrappers matching the functional surface used in tests
-
-def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p + q
-
-
-def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p * q
-
-
-def poly_scale(p: MultiPoly, c) -> MultiPoly:
-    return p * c
-
-
-def poly_partial(p: MultiPoly, var_index: int) -> MultiPoly:
-    return p.partial(var_index)
-
-
-def poly_eval(p: MultiPoly, point) -> Fraction:
-    return p.evaluate(point)
 
 
 class RingMatrix:

@@ -10,7 +10,6 @@ pattern against external renderings are qualitative only.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .exactnum import alt_sign, binom_ext
@@ -19,14 +18,30 @@ PPM_COLORS = {0: "255 255 255", 1: "190 190 190", -1: "60 60 60"}
 
 
 def sixj_sum(k: int, n: int) -> int:
-    """Exact value of S(k, n) for n >= k >= 2."""
+    """Exact value of S(k, n) for n >= k >= 2.
+
+    Consecutive terms have an integer-stepped ratio (A = B, ch. 3): going
+    from j to j + 1, a = C(j+1, 3k+1) gains (j+2)/(j+1-3k) and
+    b = C(k, m), m = j-k-n, gains (k-m)/(m+1).  Each step divides exactly,
+    and j >= 3k keeps every divisor >= 1.
+    """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if n < k:
         raise ValueError(f"need n >= k, got (k, n) = ({k}, {n})")
+    j = max(3 * k, k + n)
+    m = j - k - n
+    a = binom_ext(j + 1, 3 * k + 1)
+    b = binom_ext(k, m)
+    sign = alt_sign(j)
     total = 0
-    for j in range(max(3 * k, k + n), 2 * k + n + 1):
-        total += alt_sign(j) * binom_ext(j + 1, 3 * k + 1) * binom_ext(k, j - k - n) ** 3
+    while m <= k:
+        total += sign * a * b ** 3
+        a = a * (j + 2) // (j + 1 - 3 * k)
+        b = b * (k - m) // (m + 1)
+        sign = -sign
+        j += 1
+        m += 1
     return total
 
 
@@ -67,23 +82,13 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _grid_row(task: tuple[int, int]) -> tuple[int, ...]:
-    r, cols = task
-    k = r + 1
-    return tuple(_sign(sixj_sum(k, r + c)) for c in range(1, cols + 1))
-
-
-def sign_grid(rows: int = 201, cols: int = 201, jobs: int = 1) -> SignGrid:
-    """Compute the sign grid; cell values are independent, so rows may be
-    computed in parallel without changing the result."""
+def sign_grid(rows: int = 201, cols: int = 201) -> SignGrid:
+    """Compute the sign grid, row r holding k = r + 1."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be >= 1")
-    tasks = [(r, cols) for r in range(1, rows + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = tuple(pool.map(_grid_row, tasks, chunksize=8))
-    else:
-        cells = tuple(_grid_row(t) for t in tasks)
+    cells = tuple(
+        tuple(_sign(sixj_sum(r + 1, r + c)) for c in range(1, cols + 1)) for r in range(1, rows + 1)
+    )
     return SignGrid(rows=rows, cols=cols, cells=cells)
 
 

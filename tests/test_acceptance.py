@@ -167,7 +167,7 @@ def test_criterion_6_quadratic_closed_form_and_star_triangle():
 
 def test_criterion_7_sixj_grid_and_scan(capsys):
     start = time.monotonic()
-    grid = sign_grid(rows=201, cols=201, jobs=1)
+    grid = sign_grid(rows=201, cols=201)
     elapsed = time.monotonic() - start
     ok = zero_cells(grid) == [(1, 2)] and elapsed < 300.0
     code = cli_main(["sixj", "scan", "--kmax", "50", "--nmax", "150"])

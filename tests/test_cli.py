@@ -4,7 +4,7 @@ import pytest
 
 from binform.cli import main
 from binform.forms import generic_form, save_form, unstable_form
-from binform.invariants import scalar_str, shioda_invariant, trace_invariant
+from binform.invariants import shioda_invariant, trace_invariant
 from binform.sixj import grid_to_ppm, sign_grid
 
 
@@ -55,7 +55,7 @@ def test_invariant_p_from_file(tmp_path, capsys):
 
 def test_invariant_p_generic_and_random(capsys):
     gen = run_json(capsys, "invariant", "P", "--d", "4", "--n", "2", "--p", "2", "--generic")
-    assert gen["value"] == scalar_str(trace_invariant(generic_form(4), 2, 2))
+    assert gen["value"] == str(trace_invariant(generic_form(4), 2, 2))
     r1 = run_json(capsys, "invariant", "P", "--d", "4", "--n", "2", "--p", "2",
                   "--random", "--seed", "5")
     r2 = run_json(capsys, "invariant", "P", "--d", "4", "--n", "2", "--p", "2",
@@ -74,7 +74,7 @@ def test_invariant_h(tmp_path, capsys):
 
 def test_invariant_shioda_generic(capsys):
     rep = run_json(capsys, "invariant", "shioda", "--idx", "2", "--generic", "--d", "8")
-    assert rep["value"] == scalar_str(shioda_invariant(2, generic_form(8)))
+    assert rep["value"] == str(shioda_invariant(2, generic_form(8)))
 
 
 def test_independence_report(capsys):
@@ -88,6 +88,17 @@ def test_independence_jobs_do_not_change_bytes(capsys):
     _, one, _ = run(capsys, "independence", "--k", "4")
     _, two, _ = run(capsys, "independence", "--k", "4", "--jobs", "2")
     assert one == two
+
+
+def test_independence_minor_past_the_int_str_digit_limit(capsys):
+    rep = run_json(capsys, "independence", "--k", "26")
+    assert rep["rank"] == 26 and rep["pass"] is True
+    assert len(rep["minor"]) > 4300
+
+
+def test_jobs_below_one_is_rejected(capsys):
+    code, out, err = run(capsys, "independence", "--k", "2", "--jobs", "0")
+    assert code == 2 and out == "" and "--jobs" in err
 
 
 def test_octavic_verify(capsys):
@@ -135,7 +146,7 @@ def test_sixj_grid_jobs_do_not_change_bytes(tmp_path, capsys):
 def test_bracket_eval_generic(capsys):
     rep = run_json(capsys, "bracket", "eval", "--expr", "(a b)^8 ; deg=8", "--generic")
     assert rep["order"] == 0
-    assert rep["coeffs"] == [scalar_str(shioda_invariant(2, generic_form(8)))]
+    assert rep["coeffs"] == [str(shioda_invariant(2, generic_form(8)))]
 
 
 def test_bracket_eval_from_file(tmp_path, capsys):

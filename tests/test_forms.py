@@ -104,6 +104,14 @@ def test_json_roundtrip(tmp_path):
     assert load_form(path) == f
 
 
+def test_json_roundtrip_past_the_int_str_digit_limit():
+    big = Fraction(7 ** 6000 + 1, 3 ** 5000)  # 5071 / 2386 digits
+    f = BinaryForm([big, Fraction(0), -big])
+    text = form_to_json(f)
+    assert len(str(big.numerator)) > 4300
+    assert form_from_json(text) == f
+
+
 def test_json_validation():
     with pytest.raises(ValueError):
         form_from_json('{"d": 2, "coeffs": ["1", "2"]}')

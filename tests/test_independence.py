@@ -30,7 +30,7 @@ def test_jacobian_matches_symbolic_differentiation():
                     assert jac[r - 2, s] == sym[r].partial(s).evaluate(point), (k, r, s)
 
 
-@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
 def test_chain_rule_equals_closed_form_at_unstable(k):
     assert jacobian_matrix(unstable_form(k)) == jacobian_unstable_closed(k)
 

@@ -1,5 +1,9 @@
+import random
+from math import comb
+
 import pytest
 
+from binform.exactnum import alt_sign
 from binform.forms import generic_form
 from binform.invariants import trace_invariant
 from binform.sixj import (
@@ -17,6 +21,28 @@ def test_values():
     assert sixj_sum(2, 3) == 0
     assert sixj_sum(2, 2) == 1
     assert sixj_sum(2, 4) == -27
+
+
+def _defining_sum(k, n):
+    # slow route: the definition, one math.comb per binomial, no term ratios
+    return sum(
+        alt_sign(j) * comb(j + 1, 3 * k + 1) * comb(k, j - k - n) ** 3
+        for j in range(max(3 * k, k + n), 2 * k + n + 1)
+    )
+
+
+def test_term_ratio_sum_matches_definition_on_small_window():
+    for k in range(2, 41):
+        for n in range(k, 3 * k + 6):
+            assert sixj_sum(k, n) == _defining_sum(k, n), (k, n)
+
+
+def test_term_ratio_sum_matches_definition_on_seeded_pairs():
+    rng = random.Random(0)
+    for _ in range(50):
+        k = rng.randint(2, 300)
+        n = rng.randint(k, 4 * k)
+        assert sixj_sum(k, n) == _defining_sum(k, n), (k, n)
 
 
 def test_range_errors():
@@ -59,12 +85,6 @@ def test_zero_cells_small_window():
 
 def test_grid_is_deterministic():
     assert sign_grid(rows=4, cols=4) == sign_grid(rows=4, cols=4)
-
-
-def test_parallel_rows_change_nothing():
-    seq = sign_grid(rows=6, cols=5, jobs=1)
-    par = sign_grid(rows=6, cols=5, jobs=2)
-    assert seq == par
 
 
 GOLDEN_PPM = (
