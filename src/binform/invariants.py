@@ -62,10 +62,30 @@ def trace_invariant(form: BinaryForm, n: int, p: int):
 
     Homogeneous of degree p in f0..fd, and it can vanish identically: at
     d = 4, n = 3, p = 3 it is 0, the (k, n) = (2, 3) zero.
+
+    Computed as sum_ij (M^a)_ij (M^b)_ji with a = ceil(p/2), b = floor(p/2):
+    one running power up to M^a, keeping M^b on the way, so ceil(p/2) - 1
+    matrix products and one pairing instead of the p - 1 products of M^p.
+    A vanishing value is Fraction(0) for a numeric form and the zero
+    MultiPoly for a symbolic one.
     """
     if p < 1:
         raise ValueError("power must be >= 1")
-    return transvection_matrix(form, n).pow(p).trace()
+    m = transvection_matrix(form, n)
+    a, b = (p + 1) // 2, p // 2
+    power = half = m
+    for e in range(2, a + 1):
+        power = power.mul(m)
+        if e == b:
+            half = power
+    if form.is_numeric():
+        zero = Fraction(0)
+    else:
+        zero = MultiPoly.zero(next(c.vars for c in form.coeffs if isinstance(c, MultiPoly)))
+    size = range(n + 1)
+    if b == 0:
+        return sum((power[i, i] for i in size), zero)
+    return sum((power[i, j] * half[j, i] for i in size for j in size if power[i, j] and half[j, i]), zero)
 
 
 def charpoly_invariants(form: BinaryForm, n: int) -> list[Fraction]:

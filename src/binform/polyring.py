@@ -21,6 +21,7 @@ fractions.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .exactnum import alt_sign
@@ -87,12 +88,14 @@ class MultiPoly:
             return NotImplemented
         other = self._lift(other)
         terms = dict(self.terms)
+        get = terms.get
         for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
+            old = get(exp)
+            s = c if old is None else old + c
             if s:
                 terms[exp] = s
             else:
-                terms.pop(exp, None)
+                del terms[exp]
         out = MultiPoly(self.vars)
         out.terms = terms
         return out
@@ -123,16 +126,15 @@ class MultiPoly:
             return out
         other = self._lift(other)
         acc: dict[tuple[int, ...], Fraction] = {}
+        get = acc.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    acc[exp] = s
-                else:
-                    acc.pop(exp, None)
+                exp = tuple(map(operator.add, e1, e2))
+                c = c1 * c2
+                old = get(exp)
+                acc[exp] = c if old is None else old + c
         out = MultiPoly(self.vars)
-        out.terms = acc
+        out.terms = {exp: c for exp, c in acc.items() if c}
         return out
 
     __rmul__ = __mul__

@@ -27,7 +27,7 @@ comma-separated), "u_x^w" factors carry the x powers, and the optional
 
 from __future__ import annotations
 
-import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,6 +109,12 @@ def umbral_eval(mono: BracketMonomial, assignment: dict[str, BinaryForm]) -> Bin
     assignment maps every letter to a BinaryForm whose degree matches the
     letter's tag; coefficients may be numeric or symbolic.  The result is a
     form of order sum of the x powers (order 0 for invariants).
+
+    Weights are collected per index key, the u2 exponent of each letter and
+    the power of x2: the expansion is multiplied out factor by factor over
+    the integers, summing the weights of terms that share a key, and the
+    product of f_i(u) / C(d, i) over the letters is built once for each key
+    of nonzero weight rather than once for each term of the expansion.
     """
     for u in mono.letters:
         if u not in assignment:
@@ -118,41 +124,35 @@ def umbral_eval(mono: BracketMonomial, assignment: dict[str, BinaryForm]) -> Bin
                 f"letter {u!r} tagged degree {mono.degrees[u]}, "
                 f"assigned form of degree {assignment[u].degree}"
             )
-    order = mono.order
-    out = [0] * (order + 1)
-    edge_factors = sorted(mono.edges.items())
-    x_factors = sorted(mono.x_powers.items())
-    ranges = [range(e + 1) for _, e in edge_factors] + [range(w + 1) for _, w in x_factors]
-    for choice in itertools.product(*ranges):
-        weight = 1
-        low = dict.fromkeys(mono.letters, 0)  # accumulated exponent of u2
-        x2 = 0
-        pos = 0
-        for (u, v), e in edge_factors:
-            l = choice[pos]
-            pos += 1
-            # (u1 v2 - u2 v1)^e: term C(e,l) (u1 v2)^(e-l) (-u2 v1)^l
-            weight *= alt_sign(l) * binom_ext(e, l)
-            low[u] += l
-            low[v] += e - l
-        for u, w in x_factors:
-            l = choice[pos]
-            pos += 1
-            # (u1 x1 + u2 x2)^w: term C(w,l) u1^(w-l) u2^l x1^(w-l) x2^l
-            weight *= binom_ext(w, l)
-            low[u] += l
-            x2 += l
-        term = mono.coeff * weight
-        for u in mono.letters:
-            i = low[u]
-            d = mono.degrees[u]
-            fi = assignment[u].coeffs[i]
-            if not fi:
-                term = 0
-                break
-            term = term * fi * Fraction(1, binom_ext(d, i))
-        if term:
-            out[x2] = out[x2] + term
+    slot = {u: t for t, u in enumerate(mono.letters)}
+    x2 = len(slot)  # a key is the u2 exponent of each letter, then the power of x2
+    # (u1 v2 - u2 v1)^e has the terms C(e,l) (u1 v2)^(e-l) (-u2 v1)^l;
+    # (u1 x1 + u2 x2)^w has the terms C(w,l) u1^(w-l) u2^l x1^(w-l) x2^l.
+    factors = [(e, slot[u], slot[v], True) for (u, v), e in sorted(mono.edges.items())]
+    factors += [(w, slot[u], x2, False) for u, w in sorted(mono.x_powers.items())]
+    weights = {(0,) * (x2 + 1): 1}
+    for e, s, t, bracket in factors:
+        spread: dict[tuple[int, ...], int] = {}
+        for key, weight in weights.items():
+            for l in range(e + 1):
+                nxt = list(key)
+                nxt[s] += l
+                nxt[t] += e - l if bracket else l
+                nxt = tuple(nxt)
+                term = weight * binom_ext(e, l) * (alt_sign(l) if bracket else 1)
+                spread[nxt] = spread.get(nxt, 0) + term
+        weights = spread
+    out = [0] * (mono.order + 1)
+    for key, weight in weights.items():
+        low = key[:x2]
+        coeffs = [assignment[u].coeffs[i] for u, i in zip(mono.letters, low)]
+        if not weight or not all(coeffs):
+            continue
+        binoms = math.prod(binom_ext(mono.degrees[u], i) for u, i in zip(mono.letters, low))
+        term = mono.coeff * Fraction(weight, binoms)
+        for fi in coeffs:
+            term = term * fi
+        out[key[x2]] = out[key[x2]] + term
     return BinaryForm(out)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -158,6 +159,28 @@ def test_bracket_eval_from_file(tmp_path, capsys):
     code, _, err = run(capsys, "bracket", "eval", "--expr", "(a b)^8 ; deg=8",
                        "--form", str(path))
     assert code == 2 and "degree" in err
+
+
+# stdout sha256 of symbolic reports, as recorded for these commands in
+# perfbench/expected.json
+SYMBOLIC_REPORTS = [
+    (("invariant", "P", "--d", "8", "--n", "4", "--p", "5", "--generic", "--jobs", "1"),
+     "7aa0ff60ea7174ca4f081a2077c489d6d8bb00a56ac6c6c0d9b1fc4e156c72ab"),
+    (("octavic", "verify", "--jobs", "1"),
+     "e5c4af19b7480fbebdb26fe48dfe93423d83ade8c603eb8855466d3cb681d6bb"),
+    (("bracket", "eval", "--expr", "(a b)^4 (a c)^2 (a d)^2 (b c)^2 (b d)^2 (c d)^4 ; deg=8",
+      "--generic", "--jobs", "1"),
+     "3c5a7671bdf108f8fec2d5c1756c0c469941d1fa4edfe11b5cbd5439cb04aa86"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,sha256", SYMBOLIC_REPORTS, ids=("invariant-P", "octavic-verify", "bracket-eval")
+)
+def test_symbolic_report_bytes_are_pinned(capsys, argv, sha256):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
 
 
 def test_reports_echo_seed_and_are_byte_stable(capsys):

@@ -93,6 +93,31 @@ def test_trace_linear_invariant_vanishes_symbolically():
         assert trace_invariant(generic_form(d), n, 1) == 0
 
 
+ORACLE_SHAPES = ((4, 2), (4, 3), (8, 4), (8, 6), (12, 6))
+
+
+@pytest.mark.parametrize("d,n", ORACLE_SHAPES)
+def test_half_power_trace_equals_full_power_trace(d, n):
+    # slow route: p - 1 full matrix products, then the trace; p = 1 pairs
+    # M with nothing (b = 0) and p = 2 pairs M with itself (a = b = 1)
+    rng = random.Random(d * 10 + n)
+    forms = [(generic_form(d), MultiPoly), (random_form(d, rng), Fraction), (random_form(d, rng), Fraction)]
+    for f, kind in forms:
+        m = transvection_matrix(f, n)
+        for p in range(1, 8):
+            value = trace_invariant(f, n, p)
+            assert type(value) is kind
+            assert value == m.pow(p).trace()
+
+
+def test_vanishing_trace_has_the_ring_type():
+    numeric = trace_invariant(unstable_form(2), 2, 3)
+    assert type(numeric) is Fraction and numeric == 0
+    symbolic = trace_invariant(generic_form(4), 3, 3)  # the (k, n) = (2, 3) zero
+    assert type(symbolic) is MultiPoly and not symbolic.terms
+    assert symbolic.vars == generic_form(4).coeffs[0].vars
+
+
 def test_trace_invariant_is_homogeneous_of_degree_p():
     # (4, 3, 3) is left out: tr(M^3) vanishes there (test_cubic_trace_vanishes_for_quartics_at_n3)
     for d, n, p in ((4, 2, 2), (4, 4, 3), (8, 4, 4)):

@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from binform.exactnum import alt_sign, binom_ext
 from binform.forms import BinaryForm, generic_form, monomial, random_form
-from binform.invariants import shioda_invariant, trace_invariant
+from binform.invariants import covariant_hash, shioda_invariant, trace_invariant
+from binform.polyring import MultiPoly
 from binform.transvect import transvectant
 from binform.umbral import (
     BracketMonomial,
@@ -70,7 +73,9 @@ def test_cyclic_bracket_structure():
         cyclic_bracket(2, 1)
 
 
-@pytest.mark.parametrize("k,p", [(2, 2), (2, 3), (2, 4), (2, 5), (4, 2), (4, 3), (4, 4), (4, 5)])
+@pytest.mark.parametrize(
+    "k,p", [(2, 2), (2, 3), (2, 4), (2, 5), (4, 2), (4, 3), (4, 4), (4, 5), (6, 3), (6, 4)]
+)
 def test_cyclic_bracket_equals_trace_invariant(k, p):
     f = generic_form(2 * k)
     mono = cyclic_bracket(k, p)
@@ -154,3 +159,110 @@ def test_parsed_invariant_matches_library_value():
     f = generic_form(8)
     got = umbral_eval(mono, {u: f for u in mono.letters}).constant()
     assert got == shioda_invariant(3, f)
+
+
+def _umbral_eval_per_term(mono, assignment):
+    """Brute-force reference: substitute every term of the expansion on its own."""
+    order = mono.order
+    out = [0] * (order + 1)
+    edge_factors = sorted(mono.edges.items())
+    x_factors = sorted(mono.x_powers.items())
+    ranges = [range(e + 1) for _, e in edge_factors] + [range(w + 1) for _, w in x_factors]
+    for choice in itertools.product(*ranges):
+        weight = 1
+        low = dict.fromkeys(mono.letters, 0)  # accumulated exponent of u2
+        x2 = 0
+        pos = 0
+        for (u, v), e in edge_factors:
+            l = choice[pos]
+            pos += 1
+            # (u1 v2 - u2 v1)^e: term C(e,l) (u1 v2)^(e-l) (-u2 v1)^l
+            weight *= alt_sign(l) * binom_ext(e, l)
+            low[u] += l
+            low[v] += e - l
+        for u, w in x_factors:
+            l = choice[pos]
+            pos += 1
+            # (u1 x1 + u2 x2)^w: term C(w,l) u1^(w-l) u2^l x1^(w-l) x2^l
+            weight *= binom_ext(w, l)
+            low[u] += l
+            x2 += l
+        term = mono.coeff * weight
+        for u in mono.letters:
+            i = low[u]
+            d = mono.degrees[u]
+            fi = assignment[u].coeffs[i]
+            if not fi:
+                term = 0
+                break
+            term = term * fi * Fraction(1, binom_ext(d, i))
+        if term:
+            out[x2] = out[x2] + term
+    return BinaryForm(out)
+
+
+RING = tuple(f"f{i}" for i in range(7))
+
+
+def _random_monomial(rng):
+    """2-4 letters of degree 3-6 each; pairs are drawn in either order, so a
+    reversed pair brings its sign into the monomial's coeff."""
+    letters = "abcd"[: rng.randint(2, 4)]
+    degrees = {u: rng.randint(3, 6) for u in letters}
+    free = dict(degrees)
+    edges: dict[tuple[str, str], int] = {}
+    while True:
+        open_letters = [u for u in letters if free[u]]
+        if len(open_letters) < 2 or rng.random() < 0.1:
+            break
+        u, v = rng.sample(open_letters, 2)
+        edges[(u, v)] = edges.get((u, v), 0) + 1
+        free[u] -= 1
+        free[v] -= 1
+    return BracketMonomial(letters, degrees, edges, free)
+
+
+def _symbolic_form(d, rng):
+    return BinaryForm([
+        MultiPoly.variable(RING, rng.randrange(len(RING))) * rng.randint(-2, 2) + rng.randint(-1, 1)
+        for _ in range(d + 1)
+    ])
+
+
+def _random_assignment(mono, rng):
+    """A different form on each letter, numeric or symbolic over RING; both
+    kinds draw some coefficients zero."""
+    forms = {}
+    for u in mono.letters:
+        d = mono.degrees[u]
+        forms[u] = random_form(d, rng, bound=3) if rng.random() < 0.5 else _symbolic_form(d, rng)
+    return forms
+
+
+def _assert_same_as_per_term(mono, assignment):
+    got = umbral_eval(mono, assignment)
+    want = _umbral_eval_per_term(mono, assignment)
+    assert got == want
+    assert covariant_hash(got) == covariant_hash(want)
+
+
+def test_collected_weights_equal_per_term_expansion():
+    rng = random.Random(11)
+    mixed = signed = zeros = False
+    for _ in range(30):
+        mono = _random_monomial(rng)
+        assignment = _random_assignment(mono, rng)
+        mixed |= {f.is_numeric() for f in assignment.values()} == {True, False}
+        signed |= mono.coeff == -1
+        zeros |= any(not all(f.coeffs) for f in assignment.values())
+        _assert_same_as_per_term(mono, assignment)
+    assert mixed and signed and zeros  # the seeded draw covers each feature
+
+
+def test_collected_weights_on_reversed_odd_pair():
+    rng = random.Random(12)
+    mono = BracketMonomial(("a", "b"), {"a": 3, "b": 4}, {("b", "a"): 3}, {"b": 1})
+    assert mono.coeff == -1
+    f = BinaryForm([0, 2, 0, -1])  # zero coefficients on both ends
+    _assert_same_as_per_term(mono, {"a": f, "b": random_form(4, rng)})
+    _assert_same_as_per_term(mono, {"a": _symbolic_form(3, rng), "b": _symbolic_form(4, rng)})
