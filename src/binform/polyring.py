@@ -11,7 +11,12 @@ lexicographically (total degree first, then exponents, highest first), so
 equal polynomials always serialize identically.
 
 RingMatrix is a dense 2-D array whose entries are Fractions or MultiPolys
-over one shared variable list.  The characteristic polynomial is computed
+over one shared variable list.  The product of two rational matrices runs
+over Z: the left operand's rows and the right operand's columns are
+scaled by the lcm of their denominators, each entry is an integer dot
+product over the nonzero entries of its row, and one Fraction per entry
+undoes the scaling.  Matrices with MultiPoly entries are multiplied entry
+by entry.  The characteristic polynomial is computed
 over Q via the trace-power recurrence (divisions by integers are exact);
 determinant and rank run fraction-free (Bareiss) on the integer matrix
 obtained by clearing row denominators, so intermediate entries never grow
@@ -270,10 +275,13 @@ class RingMatrix:
     def mul(self, other: "RingMatrix") -> "RingMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
+        if _rational_entries(self) and _rational_entries(other):
+            return RingMatrix(_cleared_product(self.rows, other.rows))
+        zero = Fraction(0)
         bt = list(zip(*other.rows))
         out = []
         for row in self.rows:
-            out.append([sum((a * b for a, b in zip(row, col) if a and b), 0) for col in bt])
+            out.append([sum((a * b for a, b in zip(row, col) if a and b), zero) for col in bt])
         return RingMatrix(out)
 
     __matmul__ = mul
@@ -293,7 +301,7 @@ class RingMatrix:
     def trace(self):
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), 0)
+        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
 
     def __repr__(self):
         return f"RingMatrix({self.nrows}x{self.ncols})"
@@ -308,15 +316,13 @@ def charpoly(m: RingMatrix) -> list[Fraction]:
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    for row in m.rows:
-        for c in row:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError("charpoly requires rational entries")
+    if not _rational_entries(m):
+        raise TypeError("charpoly requires rational entries")
     n = m.nrows
     traces = []
     power = m
     for j in range(1, n + 1):
-        traces.append(Fraction(power.trace()))
+        traces.append(power.trace())
         if j < n:
             power = power.mul(m)
     e = [Fraction(1)]
@@ -328,17 +334,45 @@ def charpoly(m: RingMatrix) -> list[Fraction]:
     return [alt_sign(n - p) * e[n - p] for p in range(n + 1)]
 
 
+def _rational_entries(m: RingMatrix) -> bool:
+    """True when every entry of m is an int or a Fraction."""
+    return all(isinstance(c, (int, Fraction)) for row in m.rows for c in row)
+
+
 def _cleared_int_rows(rows):
     """Scale each row by the lcm of its denominators; return int rows and multipliers."""
     out = []
     mults = []
     for row in rows:
-        den = 1
-        for c in row:
-            den = math.lcm(den, _as_coeff(c).denominator)
-        out.append([int(_as_coeff(c) * den) for c in row])
+        row = list(map(_as_coeff, row))
+        nonzero = [(j, c) for j, c in enumerate(row) if c]
+        den = math.lcm(*[c.denominator for _, c in nonzero])
+        ints = [0] * len(row)
+        for j, c in nonzero:
+            ints[j] = c.numerator * (den // c.denominator)
+        out.append(ints)
         mults.append(den)
     return out, mults
+
+
+def _cleared_product(a_rows, b_rows):
+    """Entries of the rational product a @ b, computed over Z.
+
+    Row i of a is scaled to integers by its denominator lcm d_i, column j
+    of b likewise by e_j, so (a @ b)_ij = (integer dot product) / (d_i e_j).
+    """
+    a, row_dens = _cleared_int_rows(a_rows)
+    bt, col_dens = _cleared_int_rows(zip(*b_rows))
+    zero = Fraction(0)
+    out = []
+    for row, d in zip(a, row_dens):
+        nonzero = [(j, c) for j, c in enumerate(row) if c]
+        out_row = []
+        for col, e in zip(bt, col_dens):
+            s = sum(c * col[j] for j, c in nonzero)
+            out_row.append(Fraction(s, d * e) if s else zero)
+        out.append(out_row)
+    return out
 
 
 def det_exact(m: RingMatrix) -> Fraction:

@@ -183,6 +183,29 @@ def test_symbolic_report_bytes_are_pinned(capsys, argv, sha256):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
 
 
+# stdout sha256 of numeric certificate reports (rational matrix products,
+# Bareiss rank, charpoly), as recorded for these commands in
+# perfbench/expected.json
+CERTIFICATE_REPORTS = [
+    (("independence", "--k", "10", "--random-point", "--seed", "0", "--jobs", "1"),
+     "50040d395b1877c072a193ddc95d87db1e0c433e57d655ad742a75681f1ace06"),
+    (("invariant", "H", "--d", "8", "--n", "8", "--random", "--seed", "0", "--jobs", "1"),
+     "c4e714f9ce75ff62093327c3321803f33f9d16539754f62bd630f2deffd5daa0"),
+    (("invariant", "P", "--d", "12", "--n", "12", "--p", "12", "--random", "--seed", "5",
+      "--jobs", "1"),
+     "b68615b460c91f02f237bb15caae174e8b2777f036c48e24a046c4bcde6e8ceb"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,sha256", CERTIFICATE_REPORTS, ids=("independence", "invariant-H", "invariant-P")
+)
+def test_certificate_report_bytes_are_pinned(capsys, argv, sha256):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
+
+
 def test_reports_echo_seed_and_are_byte_stable(capsys):
     code1 = main(["combsum", "ups", "--args", "2,3", "--seed", "9"])
     out1 = capsys.readouterr().out

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from binform.forms import generic_form, random_form, unstable_form
+from binform.invariants import transvection_matrix
 from binform.polyring import (
     MultiPoly,
     RingMatrix,
@@ -94,6 +97,113 @@ def test_matrix_examples():
     assert diag.pow(0) == RingMatrix.identity(2)
 
 
+def test_zero_sums_have_the_ring_type():
+    diag = RingMatrix([[2, 0], [0, 3]])
+    assert type(diag.trace()) is Fraction
+    assert all(type(c) is Fraction for row in diag.mul(diag).rows for c in row)
+    cube = transvection_matrix(unstable_form(2), 2).pow(3)
+    assert all(type(c) is Fraction for row in cube.rows for c in row)
+    assert type(cube.trace()) is Fraction and cube.trace() == 0
+    # a symbolic nilpotent matrix: its square is all zero entries
+    zero, f0 = Fraction(0), _var(0)
+    square = RingMatrix([[zero, f0], [zero, zero]]).pow(2)
+    assert all(type(c) is Fraction and c == 0 for row in square.rows for c in row)
+
+
+def _fraction_product(a, b):
+    # entrywise Fraction triple loop: the slow route for RingMatrix.mul
+    return [
+        [
+            sum((Fraction(a[i, t]) * Fraction(b[t, j]) for t in range(a.ncols)), Fraction(0))
+            for j in range(b.ncols)
+        ]
+        for i in range(a.nrows)
+    ]
+
+
+def _oracle_operands(rng, case):
+    """Two seeded rational matrices of compatible shape; ``case`` picks the kind."""
+    if case == 0:
+        n = inner = m = 1
+    else:
+        n, inner, m = (rng.randint(1, 9) for _ in range(3))
+    kind = case % 5
+    if kind == 0:  # plain ints only
+
+        def entry():
+            return rng.randint(-9, 9)
+
+    else:  # denominators up to 10!
+        big = math.factorial(10)
+
+        def entry():
+            return Fraction(rng.randint(-big, big), rng.choice((1, rng.randint(1, big))))
+
+    a = [[entry() for _ in range(inner)] for _ in range(n)]
+    b = [[entry() for _ in range(m)] for _ in range(inner)]
+    if kind == 2:  # a zero row of a, a zero column of b, and sparse entries
+        a[rng.randrange(n)] = [0] * inner
+        j = rng.randrange(m)
+        for row in b:
+            row[j] = Fraction(0)
+        for row in a + b:
+            for t in range(len(row)):
+                if rng.random() < 0.5:
+                    row[t] = 0
+    elif kind == 3:  # an all-zero operand
+        if rng.random() < 0.5:
+            a = [[Fraction(0)] * inner for _ in range(n)]
+        else:
+            b = [[0] * m for _ in range(inner)]
+    elif kind == 4 and inner >= 2:  # entry (0, 0) of the product cancels to 0
+        a[0][0], a[0][1], b[0][0] = Fraction(3, 7), Fraction(-5, 11), Fraction(2, 13)
+        b[1][0] = -a[0][0] * b[0][0] / a[0][1]
+        for t in range(2, inner):
+            b[t][0] = 0
+    return RingMatrix(a), RingMatrix(b)
+
+
+def test_rational_product_against_fraction_oracle():
+    rng = random.Random(6)
+    seen = set()
+    for case in range(40):
+        a, b = _oracle_operands(rng, case)
+        prod = a.mul(b)
+        assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+        assert [list(r) for r in prod.rows] == _fraction_product(a, b)
+        assert all(type(c) is Fraction for row in prod.rows for c in row)
+        if a.nrows == a.ncols == b.ncols == 1:
+            seen.add("1x1")
+        if a.nrows != a.ncols or b.nrows != b.ncols:
+            seen.add("rectangular")
+        if all(type(c) is int for m in (a, b) for row in m.rows for c in row):
+            seen.add("int only")
+        if any(not any(row) for row in a.rows) and any(not any(col) for col in zip(*b.rows)):
+            seen.add("zero row and column")
+        if any(not any(c for row in m.rows for c in row) for m in (a, b)):
+            seen.add("all zero")
+        if any(c.denominator > 10 ** 5 for m in (a, b) for row in m.rows for c in row
+               if isinstance(c, Fraction)):
+            seen.add("large denominators")
+        if any(not prod[i, j] and any(a[i, t] and b[t, j] for t in range(a.ncols))
+               for i in range(prod.nrows) for j in range(prod.ncols)):
+            seen.add("cancellation")
+    assert seen == {"1x1", "rectangular", "int only", "zero row and column", "all zero",
+                    "large denominators", "cancellation"}
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_rational_running_power_against_fraction_oracle(k):
+    m = transvection_matrix(random_form(2 * k, random.Random(k)), k)
+    fast = m
+    slow = [list(r) for r in m.rows]
+    for _ in range(2, 9):
+        fast = fast.mul(m)
+        slow = _fraction_product(RingMatrix(slow), m)
+        assert [list(r) for r in fast.rows] == slow
+        assert all(type(c) is Fraction for row in fast.rows for c in row)
+
+
 def test_matrix_dimension_errors():
     with pytest.raises(ValueError):
         RingMatrix([[1, 2], [3]])
@@ -179,6 +289,14 @@ def _gauss_rank(mat):
                     rows[r][j] -= factor * rows[rank][j]
         rank += 1
     return rank
+
+
+def test_exact_elimination_rejects_polynomial_entries():
+    m = transvection_matrix(generic_form(4), 2)
+    with pytest.raises(TypeError, match="not a rational coefficient"):
+        rank_exact(m)
+    with pytest.raises(TypeError, match="not a rational coefficient"):
+        det_exact(m)
 
 
 def test_rank_examples():
