@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""Render the default 201x201 sign grid to PPM and CSV next to this script.
+"""Render the default 201x201 sign grid to sign_grid.ppm and sign_grid.csv.
 
-Equivalent to:  binform sixj grid --out sign_grid.ppm  (and .csv)
+Usage:  render_sign_grid.py [OUT_DIR]
+
+The two files go to OUT_DIR, or to the current directory when it is
+omitted.  Equivalent to:  binform sixj grid --out OUT_DIR/sign_grid.ppm
+(and .csv).
 """
 
 import pathlib
@@ -11,8 +15,8 @@ import time
 from binform.sixj import grid_to_csv, grid_to_ppm, sign_grid, zero_cells
 
 
-def main() -> int:
-    out_dir = pathlib.Path(__file__).resolve().parent
+def main(argv: list[str]) -> int:
+    out_dir = pathlib.Path(argv[1] if len(argv) > 1 else ".")
     start = time.monotonic()
     grid = sign_grid(rows=201, cols=201)
     elapsed = time.monotonic() - start
@@ -24,4 +28,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))

@@ -176,16 +176,16 @@ def _run_sixj(args: argparse.Namespace, cfg: RunConfig) -> dict | None:
             "zeros": [[k, n] for k, n in zeros],
             "seed": cfg.seed,
         }
-    # grid: the written file is the report
+    # grid: the written file is the report; its name is checked before any cell is computed
     if not cfg.out:
         raise ValueError("sixj grid requires --out FILE.ppm or FILE.csv")
-    grid = sixj.sign_grid(rows=args.rows, cols=args.cols)
     if cfg.out.endswith(".ppm"):
-        text = sixj.grid_to_ppm(grid)
+        render = sixj.grid_to_ppm
     elif cfg.out.endswith(".csv"):
-        text = sixj.grid_to_csv(grid)
+        render = sixj.grid_to_csv
     else:
         raise ValueError(f"grid output must end in .ppm or .csv, got {cfg.out!r}")
+    text = render(sixj.sign_grid(rows=args.rows, cols=args.cols))
     with open(cfg.out, "w", encoding="ascii", newline="") as fh:
         fh.write(text)
     return None

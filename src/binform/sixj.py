@@ -6,43 +6,66 @@ exactly when S(k, n) does, so zero scanning and the zero pattern of the
 grid are exact; the recorded sign is the sign of S itself (the omitted
 proportionality prefactor is sign-ambiguous), so comparisons of the sign
 pattern against external renderings are qualitative only.
+
+Every value comes from `sixj_row`, which fixes k and builds the two
+sequences a row shares, A[t] = C(t, 3k+1) and B[m] = (-1)^m C(k, m)^3,
+once; each cell S(k, n) is then one dot product of a slice of B with a
+slice of A.  `sign_grid` and `scan_zeros` take one row per k, and
+`sixj_sum` is a row of one cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .exactnum import alt_sign, binom_ext
 
 PPM_COLORS = {0: "255 255 255", 1: "190 190 190", -1: "60 60 60"}
 
 
-def sixj_sum(k: int, n: int) -> int:
-    """Exact value of S(k, n) for n >= k >= 2.
+def sixj_row(k: int, n_min: int, n_max: int) -> list[int]:
+    """Exact values [S(k, n) for n_min <= n <= n_max], k >= 2, n_min >= k;
+    empty when n_max < n_min.
 
-    Consecutive terms have an integer-stepped ratio (A = B, ch. 3): going
-    from j to j + 1, a = C(j+1, 3k+1) gains (j+2)/(j+1-3k) and
-    b = C(k, m), m = j-k-n, gains (k-m)/(m+1).  Each step divides exactly,
-    and j >= 3k keeps every divisor >= 1.
+    With m = j - k - n, a cell is a dot product over two sequences that
+    only depend on k:
+
+        S(k, n) = (-1)^(k+n) sum_{m0 <= m <= k} B[m] A[m+k+n+1],
+        A[t] = C(t, 3k+1),  B[m] = (-1)^m C(k, m)^3.
+
+    A[m+k+n+1] = C(j+1, 3k+1) vanishes for j < 3k, that is for m < 2k - n,
+    so each cell starts at m0 = max(0, 2k - n) and reads A only from
+    t0 = max(3k+1, k+n_min+1) on.  A is built from t0 to 2k + n_max + 1
+    by the integer term ratio C(t+1, r) = C(t, r) (t+1)/(t+1-r)
+    (A = B, ch. 3), and B by C(k, m+1) = C(k, m) (k-m)/(m+1); each step
+    divides exactly.  The slots of A below t0 hold 0 and are never read.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if n < k:
-        raise ValueError(f"need n >= k, got (k, n) = ({k}, {n})")
-    j = max(3 * k, k + n)
-    m = j - k - n
-    a = binom_ext(j + 1, 3 * k + 1)
-    b = binom_ext(k, m)
-    sign = alt_sign(j)
-    total = 0
-    while m <= k:
-        total += sign * a * b ** 3
-        a = a * (j + 2) // (j + 1 - 3 * k)
+    if n_min < k:
+        raise ValueError(f"need n >= k, got (k, n) = ({k}, {n_min})")
+    r = 3 * k + 1
+    t0 = max(r, k + n_min + 1)
+    a, a_seq = binom_ext(t0, r), [0] * t0
+    for t in range(t0, 2 * k + n_max + 2):
+        a_seq.append(a)
+        a = a * (t + 1) // (t + 1 - r)
+    b, b_seq = 1, []
+    for m in range(k + 1):
+        b_seq.append(alt_sign(m) * b ** 3)
         b = b * (k - m) // (m + 1)
-        sign = -sign
-        j += 1
-        m += 1
-    return total
+    row = []
+    for n in range(n_min, n_max + 1):
+        m0 = max(0, 2 * k - n)
+        total = sum(map(mul, b_seq[m0:], a_seq[m0 + k + n + 1 : 2 * k + n + 2]))
+        row.append(alt_sign(k + n) * total)
+    return row
+
+
+def sixj_sum(k: int, n: int) -> int:
+    """Exact value of S(k, n) for n >= k >= 2: a one-cell row."""
+    return sixj_row(k, n, n)[0]
 
 
 def scan_zeros(k_max: int, n_max: int, k_min: int = 2) -> list[tuple[int, int]]:
@@ -51,12 +74,8 @@ def scan_zeros(k_max: int, n_max: int, k_min: int = 2) -> list[tuple[int, int]]:
         raise ValueError(f"need k_min >= 2, got {k_min}")
     if k_max < k_min:
         raise ValueError(f"need k_max >= k_min, got {k_max} < {k_min}")
-    out = []
-    for k in range(k_min, k_max + 1):
-        for n in range(k, n_max + 1):
-            if sixj_sum(k, n) == 0:
-                out.append((k, n))
-    return out
+    rows = ((k, sixj_row(k, k, n_max)) for k in range(k_min, k_max + 1))
+    return [(k, n) for k, row in rows for n, v in enumerate(row, start=k) if v == 0]
 
 
 @dataclass(frozen=True)
@@ -83,12 +102,10 @@ def _sign(v: int) -> int:
 
 
 def sign_grid(rows: int = 201, cols: int = 201) -> SignGrid:
-    """Compute the sign grid, row r holding k = r + 1."""
+    """Compute the sign grid, row r holding k = r + 1, one `sixj_row` per row."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be >= 1")
-    cells = tuple(
-        tuple(_sign(sixj_sum(r + 1, r + c)) for c in range(1, cols + 1)) for r in range(1, rows + 1)
-    )
+    cells = tuple(tuple(map(_sign, sixj_row(r + 1, r + 1, r + cols))) for r in range(1, rows + 1))
     return SignGrid(rows=rows, cols=cols, cells=cells)
 
 

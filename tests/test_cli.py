@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from binform import sixj
 from binform.cli import main
 from binform.forms import generic_form, save_form, unstable_form
 from binform.invariants import shioda_invariant, trace_invariant
@@ -204,6 +205,40 @@ def test_certificate_report_bytes_are_pinned(capsys, argv, sha256):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
+
+
+# sha256 of the sixj workload's grid file and scan stdout, as recorded for
+# these commands in perfbench/expected.json
+SIXJ_GRID_SHA256 = "5f9af808d988109ee20fdb53f64a8078f25a4ae7bb8f06b793eabf21a0b4aac6"
+SIXJ_SCAN_SHA256 = "db2b126780ab494ce8f90d38462da82dacc3fdbdb8828d3e88be986dfd84f8d7"
+
+
+def test_sixj_grid_file_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "sixj", "grid", "--rows", "141", "--cols", "141",
+                         "--out", "grid.ppm", "--jobs", "1")
+    assert code == 0 and out == "", err
+    assert hashlib.sha256((tmp_path / "grid.ppm").read_bytes()).hexdigest() == SIXJ_GRID_SHA256
+
+
+def test_sixj_scan_report_bytes_are_pinned(capsys):
+    code, out, err = run(capsys, "sixj", "scan", "--kmax", "50", "--nmax", "150", "--jobs", "1")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == SIXJ_SCAN_SHA256
+
+
+def test_sixj_grid_checks_out_before_computing(tmp_path, monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sign_grid called before --out was checked")
+
+    monkeypatch.setattr(sixj, "sign_grid", no_grid)
+    png = tmp_path / "grid.png"
+    code, out, err = run(capsys, "sixj", "grid", "--out", str(png))
+    assert code == 2 and out == ""
+    assert "must end in .ppm or .csv" in err
+    assert not png.exists()
+    code, _, err = run(capsys, "sixj", "grid")
+    assert code == 2 and "--out" in err
 
 
 def test_reports_echo_seed_and_are_byte_stable(capsys):

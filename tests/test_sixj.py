@@ -12,6 +12,7 @@ from binform.sixj import (
     grid_to_ppm,
     scan_zeros,
     sign_grid,
+    sixj_row,
     sixj_sum,
     zero_cells,
 )
@@ -43,6 +44,49 @@ def test_term_ratio_sum_matches_definition_on_seeded_pairs():
         k = rng.randint(2, 300)
         n = rng.randint(k, 4 * k)
         assert sixj_sum(k, n) == _defining_sum(k, n), (k, n)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def test_row_matches_definition_on_full_windows():
+    for k in range(2, 41):
+        assert sixj_row(k, k, 3 * k + 5) == [_defining_sum(k, n) for n in range(k, 3 * k + 6)], k
+
+
+def test_row_matches_definition_on_partial_windows():
+    for k in (2, 3, 5, 8, 13, 21, 34):
+        windows = [
+            (k + 1, 3 * k),  # n_min > k, crosses n = 2k
+            (2 * k - 1, 2 * k + 1),  # straddles n = 2k
+            (2 * k, 2 * k + 3),  # starts at n = 2k
+            (2 * k + 1, 4 * k + 2),  # wholly past n = 2k
+            (k + 2, 2 * k - 1),  # wholly before n = 2k (empty when k < 3)
+        ] + [(n, n) for n in (k, k + 1, 2 * k - 1, 2 * k, 2 * k + 1, 5 * k)]
+        for n_min, n_max in windows:
+            expected = [_defining_sum(k, n) for n in range(n_min, n_max + 1)]
+            assert sixj_row(k, n_min, n_max) == expected, (k, n_min, n_max)
+
+
+def test_grid_signs_match_definition():
+    grid = sign_grid(rows=30, cols=30)
+    for r in range(1, 31):
+        assert grid.cells[r - 1] == tuple(_sign(_defining_sum(r + 1, r + c)) for c in range(1, 31)), r
+
+
+def test_scan_matches_definition():
+    expected = [(k, n) for k in range(2, 13) for n in range(k, 41) if _defining_sum(k, n) == 0]
+    assert scan_zeros(12, 40) == expected == [(2, 3)]
+
+
+def test_row_range_errors_and_empty_window():
+    with pytest.raises(ValueError):
+        sixj_row(1, 5, 8)
+    with pytest.raises(ValueError):
+        sixj_row(3, 2, 8)
+    assert sixj_row(4, 9, 8) == []
+    assert sixj_row(4, 4, 3) == []
 
 
 def test_range_errors():
