@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import combsum, independence, invariants, sixj
@@ -20,24 +19,11 @@ from .invariants import covariant_hash
 from .umbral import parse_bracket, umbral_eval
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    format: str = "json"
-    out: str | None = None
-
-
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for any random sampling")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
-    return RunConfig(seed=args.seed, format=args.format, out=args.out)
 
 
 def _csv_escape(v) -> str:
@@ -63,13 +49,13 @@ def _to_csv(report: dict) -> str:
     return "".join(lines)
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
-    if cfg.format == "json":
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    if args.format == "json":
         text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         text = _to_csv(report)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="ascii", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -82,7 +68,7 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"bad integer list {text!r}") from exc
 
 
-def _resolve_form(args: argparse.Namespace, d: int, cfg: RunConfig) -> tuple[BinaryForm, str]:
+def _resolve_form(args: argparse.Namespace, d: int) -> tuple[BinaryForm, str]:
     """Pick the form source; exactly one of --form/--generic/--random."""
     picked = [name for name in ("form", "generic", "random") if getattr(args, name, None)]
     if len(picked) != 1:
@@ -94,7 +80,7 @@ def _resolve_form(args: argparse.Namespace, d: int, cfg: RunConfig) -> tuple[Bin
         return f, "file"
     if args.generic:
         return generic_form(d), "generic"
-    return random_form(d, random.Random(cfg.seed)), "random"
+    return random_form(d, random.Random(args.seed)), "random"
 
 
 def _form_report(form: BinaryForm) -> list[str]:
@@ -103,12 +89,12 @@ def _form_report(form: BinaryForm) -> list[str]:
 
 # -- subcommand handlers ---------------------------------------------------
 
-def _run_combsum(args: argparse.Namespace, cfg: RunConfig) -> dict:
+def _run_combsum(args: argparse.Namespace) -> dict:
     if args.combsum_cmd == "ups":
         values = _parse_int_list(args.args)
         if not values:
             raise ValueError("--args needs at least one integer")
-        report = {"args": values, "method": args.method, "seed": cfg.seed}
+        report = {"args": values, "method": args.method, "seed": args.seed}
         if args.method == "direct":
             report["value"] = str(combsum.ups_direct(values))
         elif args.method == "recursive":
@@ -128,12 +114,12 @@ def _run_combsum(args: argparse.Namespace, cfg: RunConfig) -> dict:
     else:
         value = combsum.nkr(args.k, args.r)
         route = "direct"
-    return {"k": args.k, "r": args.r, "value": str(value), "route": route, "seed": cfg.seed}
+    return {"k": args.k, "r": args.r, "value": str(value), "route": route, "seed": args.seed}
 
 
-def _run_invariant(args: argparse.Namespace, cfg: RunConfig) -> dict:
-    form, source = _resolve_form(args, args.d, cfg)
-    report = {"d": args.d, "source": source, "seed": cfg.seed}
+def _run_invariant(args: argparse.Namespace) -> dict:
+    form, source = _resolve_form(args, args.d)
+    report = {"d": args.d, "source": source, "seed": args.seed}
     if source != "generic":
         report["coeffs"] = _form_report(form)
     if args.invariant_cmd == "P":
@@ -148,50 +134,50 @@ def _run_invariant(args: argparse.Namespace, cfg: RunConfig) -> dict:
     return report
 
 
-def _run_independence(args: argparse.Namespace, cfg: RunConfig) -> dict:
+def _run_independence(args: argparse.Namespace) -> dict:
     report = independence.independence_certificate(
-        args.k, include_random_point=args.random_point, seed=cfg.seed
+        args.k, include_random_point=args.random_point, seed=args.seed
     )
-    report["seed"] = cfg.seed
+    report["seed"] = args.seed
     return report
 
 
-def _run_octavic(args: argparse.Namespace, cfg: RunConfig) -> dict:
-    checks = [dict(entry) for entry in invariants.octavic_identity_report()]
+def _run_octavic(args: argparse.Namespace) -> dict:
+    checks = invariants.octavic_identity_report()
     return {
         "identities": checks,
         "pass": all(c["pass"] for c in checks),
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
 
 
-def _run_sixj(args: argparse.Namespace, cfg: RunConfig) -> dict | None:
+def _run_sixj(args: argparse.Namespace) -> dict | None:
     if args.sixj_cmd == "value":
-        return {"k": args.k, "n": args.n, "S": str(sixj.sixj_sum(args.k, args.n)), "seed": cfg.seed}
+        return {"k": args.k, "n": args.n, "S": str(sixj.sixj_sum(args.k, args.n)), "seed": args.seed}
     if args.sixj_cmd == "scan":
         zeros = sixj.scan_zeros(args.kmax, args.nmax)
         return {
             "kmax": args.kmax,
             "nmax": args.nmax,
             "zeros": [[k, n] for k, n in zeros],
-            "seed": cfg.seed,
+            "seed": args.seed,
         }
     # grid: the written file is the report; its name is checked before any cell is computed
-    if not cfg.out:
+    if not args.out:
         raise ValueError("sixj grid requires --out FILE.ppm or FILE.csv")
-    if cfg.out.endswith(".ppm"):
+    if args.out.endswith(".ppm"):
         render = sixj.grid_to_ppm
-    elif cfg.out.endswith(".csv"):
+    elif args.out.endswith(".csv"):
         render = sixj.grid_to_csv
     else:
-        raise ValueError(f"grid output must end in .ppm or .csv, got {cfg.out!r}")
+        raise ValueError(f"grid output must end in .ppm or .csv, got {args.out!r}")
     text = render(sixj.sign_grid(rows=args.rows, cols=args.cols))
-    with open(cfg.out, "w", encoding="ascii", newline="") as fh:
+    with open(args.out, "w", encoding="ascii", newline="") as fh:
         fh.write(text)
     return None
 
 
-def _run_bracket(args: argparse.Namespace, cfg: RunConfig) -> dict:
+def _run_bracket(args: argparse.Namespace) -> dict:
     if args.form:
         form = load_form(args.form)
         source = "file"
@@ -217,7 +203,7 @@ def _run_bracket(args: argparse.Namespace, cfg: RunConfig) -> dict:
         "coeffs": [str(c) for c in value.coeffs],
         "sha256": covariant_hash(value),
         "source": source,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
 
 
@@ -308,13 +294,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
-        report = _HANDLERS[args.cmd](args, cfg)
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
+        report = _HANDLERS[args.cmd](args)
     except (ValueError, ArithmeticError, OSError, KeyError, TypeError) as exc:
         print(f"binform: error: {exc}", file=sys.stderr)
         return 2
     if report is not None:
-        _emit(report, cfg)
+        _emit(report, args)
     return 0
 
 

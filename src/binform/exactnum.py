@@ -7,21 +7,15 @@ n >= 0, binomial coefficients vanish outside 0 <= k <= n, and every sum
 over Z acquires finite support, so all functions here are total.
 
 Integers are plain Python ints (arbitrary precision), rationals are
-`fractions.Fraction` (always reduced, denominator positive).
+`fractions.Fraction` (always reduced, denominator positive).  Factorials
+and binomials come from `math.factorial` and `math.comb`; nothing here
+keeps a table.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-# Factorials up to this cap are cached in a growable table; t_coeff (through
-# fact_product) and the combsum identities ask for the same small factorials
-# over and over.  Above the cap, values are computed incrementally from the
-# table end and not retained.
-FACT_CACHE_CAP = 100_000
-
-_fact_cache = [1]
 
 
 def alt_sign(k: int) -> int:
@@ -35,21 +29,7 @@ def alt_sign(k: int) -> int:
 
 def fact_ext(n: int) -> int:
     """n! for n >= 0, and 0 for n < 0."""
-    if n < 0:
-        return 0
-    cache = _fact_cache
-    if n < len(cache):
-        return cache[n]
-    if n <= FACT_CACHE_CAP:
-        val = cache[-1]
-        for t in range(len(cache), n + 1):
-            val *= t
-            cache.append(val)
-        return val
-    val = fact_ext(FACT_CACHE_CAP)
-    for t in range(FACT_CACHE_CAP + 1, n + 1):
-        val *= t
-    return val
+    return math.factorial(n) if n >= 0 else 0
 
 
 def inv_fact_ext(n: int) -> Fraction:

@@ -218,9 +218,20 @@ def form_to_json(form: BinaryForm) -> str:
 
 
 def form_from_json(text: str) -> BinaryForm:
+    """Read {"d": int, "coeffs": [...]}; each coefficient is a decimal or
+    "p/q" string or a JSON integer.  JSON floats and booleans are rejected:
+    Fraction would take them as binary floats and as 0/1."""
     payload = json.loads(text)
     d = payload["d"]
-    coeffs = [Fraction(s) for s in payload["coeffs"]]
+    if type(d) is not int:
+        raise ValueError(f"degree must be an integer, got {d!r}")
+    raw = payload["coeffs"]
+    if type(raw) is not list:
+        raise ValueError("coeffs must be a list")
+    for c in raw:
+        if type(c) not in (str, int):
+            raise ValueError(f"coefficients must be strings or integers, got {c!r}")
+    coeffs = [Fraction(c) for c in raw]
     if len(coeffs) != d + 1:
         raise ValueError(f"expected {d + 1} coefficients, got {len(coeffs)}")
     return BinaryForm(coeffs)

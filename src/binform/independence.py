@@ -45,12 +45,7 @@ def jacobian_matrix(form: BinaryForm) -> RingMatrix:
     every row, so the whole matrix costs k - 1 matrix products."""
     if not form.is_numeric():
         raise ValueError("the Jacobian is evaluated at numeric forms")
-    d = form.degree
-    if d % 2:
-        raise ValueError(f"form degree {d} is odd; need d = 2k")
-    k = d // 2
-    if k % 2 or k < 2:
-        raise ValueError(f"need k = d/2 even and >= 2, got k = {k}")
+    k = form.degree // 2
     m = transvection_matrix(form, k)
     power = m
     rows = []

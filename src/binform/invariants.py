@@ -14,7 +14,6 @@ one code path.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from fractions import Fraction
 
@@ -149,8 +148,7 @@ def covariant_hash(x) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-@functools.cache
-def octavic_identity_report() -> tuple[dict, ...]:
+def octavic_identity_report() -> list[dict]:
     """Certify the octavic trace-invariant and bracket identities over the
     polynomial ring in f0..f8.  Each entry records both sides' canonical
     hashes, so a pass is exactly hash equality."""
@@ -194,4 +192,4 @@ def octavic_identity_report() -> tuple[dict, ...]:
             "lhs_sha256": covariant_hash(lhs),
             "rhs_sha256": covariant_hash(rhs),
         })
-    return tuple(report)
+    return report

@@ -17,10 +17,11 @@ scaled by the lcm of their denominators, each entry is an integer dot
 product over the nonzero entries of its row, and one Fraction per entry
 undoes the scaling.  Matrices with MultiPoly entries are multiplied entry
 by entry.  The characteristic polynomial is computed
-over Q via the trace-power recurrence (divisions by integers are exact);
-determinant and rank run fraction-free (Bareiss) on the integer matrix
-obtained by clearing row denominators, so intermediate entries never grow
-fractions.
+over Q via the trace-power recurrence (divisions by integers are exact).
+Determinant and rank share one fraction-free (Bareiss) elimination on the
+integer matrix obtained by clearing row denominators, so intermediate
+entries never grow fractions; the determinant is 0 when the rank falls
+short of n, and otherwise the last pivot over the row multipliers.
 """
 
 from __future__ import annotations
@@ -203,9 +204,6 @@ class MultiPoly:
             total += v
         return total
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     # -- canonical form ------------------------------------------------
 
     def canonical_terms(self):
@@ -375,42 +373,17 @@ def _cleared_product(a_rows, b_rows):
     return out
 
 
-def det_exact(m: RingMatrix) -> Fraction:
-    """Exact determinant via Bareiss fraction-free elimination.
+def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of the integer rows a, in place.
 
-    Row denominators are cleared first, so the elimination runs entirely
-    over Z; the final division undoes the clearing.
+    Columns without a pivot are skipped, so any shape is allowed.  Returns
+    (rank, swap_sign, last_pivot): the sign is (-1)^(row swaps), and when
+    a is square of full rank, swap_sign * last_pivot is its determinant.
     """
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    a, mults = _cleared_int_rows(m.rows)
-    n = len(a)
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[c][c] * a[i][j] - a[i][c] * a[c][j]) // prev
-            a[i][c] = 0
-        prev = a[c][c]
-    scale = 1
-    for d in mults:
-        scale *= d
-    return Fraction(sign * a[n - 1][n - 1], scale)
-
-
-def rank_exact(m: RingMatrix) -> int:
-    """Exact rank via fraction-free elimination; rectangular input allowed."""
-    a, _ = _cleared_int_rows(m.rows)
     nrows = len(a)
     ncols = len(a[0])
     piv_r = 0
+    sign = 1
     prev = 1
     for c in range(ncols):
         if piv_r >= nrows:
@@ -420,10 +393,32 @@ def rank_exact(m: RingMatrix) -> int:
             continue
         if piv != piv_r:
             a[piv_r], a[piv] = a[piv], a[piv_r]
+            sign = -sign
         for i in range(piv_r + 1, nrows):
             for j in range(c + 1, ncols):
                 a[i][j] = (a[piv_r][c] * a[i][j] - a[i][c] * a[piv_r][j]) // prev
             a[i][c] = 0
         prev = a[piv_r][c]
         piv_r += 1
-    return piv_r
+    return piv_r, sign, prev
+
+
+def det_exact(m: RingMatrix) -> Fraction:
+    """Exact determinant via Bareiss fraction-free elimination.
+
+    Row denominators are cleared first, so the elimination runs entirely
+    over Z; the final division undoes the clearing.
+    """
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    a, mults = _cleared_int_rows(m.rows)
+    rank, sign, last = _bareiss(a)
+    if rank < len(a):
+        return Fraction(0)
+    return Fraction(sign * last, math.prod(mults))
+
+
+def rank_exact(m: RingMatrix) -> int:
+    """Exact rank via fraction-free elimination; rectangular input allowed."""
+    a, _ = _cleared_int_rows(m.rows)
+    return _bareiss(a)[0]

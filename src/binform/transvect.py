@@ -14,17 +14,11 @@ same code path serves numeric checks and symbolic invariants.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .exactnum import alt_sign, binom_ext, fact_ext, fact_product
 from .forms import BinaryForm, convolve
-
-
-def _falling(x: int, c: int) -> int:
-    out = 1
-    for t in range(c):
-        out *= x - t
-    return out
 
 
 def _deriv(coeffs, a: int, b: int):
@@ -34,7 +28,7 @@ def _deriv(coeffs, a: int, b: int):
     out = []
     for t in range(order + 1):
         i = t + b
-        out.append(coeffs[i] * (_falling(m - i, a) * _falling(i, b)))
+        out.append(coeffs[i] * (math.perm(m - i, a) * math.perm(i, b)))
     return out
 
 

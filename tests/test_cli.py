@@ -276,3 +276,11 @@ def test_malformed_form_file_is_a_clean_error(tmp_path, capsys):
     code, _, err = run(capsys, "invariant", "P", "--d", "4", "--n", "2", "--p", "2",
                        "--form", str(missing))
     assert code == 2
+
+
+def test_form_file_with_float_or_bool_coefficients_exits_2(tmp_path, capsys):
+    bad = tmp_path / "float.json"
+    bad.write_text('{"d": 4, "coeffs": [0.1, true, "0", "0", 1]}')
+    code, out, err = run(capsys, "invariant", "P", "--d", "4", "--n", "2", "--p", "2",
+                         "--form", str(bad))
+    assert code == 2 and out == "" and "strings or integers" in err

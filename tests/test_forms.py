@@ -118,3 +118,21 @@ def test_json_validation():
     f = generic_form(2)
     with pytest.raises(ValueError):
         form_to_json(f)
+
+
+def test_json_rejects_float_and_bool_coefficients():
+    # JSON integers are exact; floats and booleans would be read as binary
+    # fractions and as 0/1
+    assert form_from_json('{"d": 1, "coeffs": [3, "-1/2"]}') == BinaryForm([Fraction(3), Fraction(-1, 2)])
+    for text in (
+        '{"d": 4, "coeffs": [0.1, "0", "0", "0", "1"]}',
+        '{"d": 4, "coeffs": ["1", true, "0", "0", "1"]}',
+        '{"d": 1, "coeffs": [false, "1"]}',
+        '{"d": 1, "coeffs": ["1", 2.0]}',
+        '{"d": 1, "coeffs": [["1"], "1"]}',
+        '{"d": 1.0, "coeffs": ["1", "1"]}',
+        '{"d": true, "coeffs": ["1", "1"]}',
+        '{"d": 1, "coeffs": "11"}',
+    ):
+        with pytest.raises(ValueError):
+            form_from_json(text)

@@ -104,8 +104,14 @@ def test_rank_at_random_octavic():
 
 
 def test_preconditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="numeric forms"):
         jacobian_matrix(generic_form(4))
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="form degree 5 is odd; need d = 2k"):
+        jacobian_matrix(random_form(5, rng))
+    for d, k in ((6, 3), (2, 1)):
+        with pytest.raises(ValueError, match=f"need k = d/2 even and >= 2, got k = {k}"):
+            jacobian_matrix(random_form(d, rng))
     with pytest.raises(ValueError):
         jacobian_unstable_closed(3)
     with pytest.raises(ValueError):

@@ -316,3 +316,58 @@ def test_rank_against_gauss_oracle():
         b = _random_matrix(rng, inner, m)
         prod = a.mul(b)
         assert rank_exact(prod) == _gauss_rank(prod)
+
+
+def test_det_and_rank_against_sympy():
+    # det and rank share one elimination; sympy is the independent oracle.
+    # Each draw is classified after the fact, and every kind must occur.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    dens = [math.factorial(t) for t in range(1, 11)]
+    seen = set()
+    for _ in range(120):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(m)]
+            for _ in range(n)
+        ]
+        dependent = n >= 2 and rng.random() < 0.3
+        if dependent:
+            i = rng.randrange(n)
+            j, k = (rng.choice([t for t in range(n) if t != i]) for _ in range(2))
+            c = Fraction(rng.randint(-5, 5), rng.choice(dens))
+            rows[i] = [c * x + y for x, y in zip(rows[j], rows[k])]
+        if rng.random() < 0.2:
+            rows[rng.randrange(n)] = [Fraction(0)] * m
+        if rng.random() < 0.2:
+            col = rng.randrange(m)
+            for row in rows:
+                row[col] = Fraction(0)
+        mat = RingMatrix(rows)
+        oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+        rank = oracle.rank()
+        assert rank_exact(mat) == rank
+        if n == m:
+            det = sympy.Rational(oracle.det())
+            assert det_exact(mat) == Fraction(int(det.p), int(det.q))
+            if det:
+                seen.add("square nonsingular")
+            elif dependent and all(any(r) for r in rows):
+                seen.add("square singular by a dependent row")
+        else:
+            seen.add("wide" if m > n else "tall")
+        if any(not any(r) for r in rows):
+            seen.add("zero row")
+        if any(not any(col) for col in zip(*rows)):
+            seen.add("zero column")
+        if any(x.denominator > dens[-2] for r in rows for x in r):
+            seen.add("denominator above 9!")
+    assert seen == {
+        "square nonsingular",
+        "square singular by a dependent row",
+        "wide",
+        "tall",
+        "zero row",
+        "zero column",
+        "denominator above 9!",
+    }
