@@ -1,14 +1,26 @@
 """Sparse multivariate polynomials over Q and exact matrix algebra.
 
-A MultiPoly maps exponent tuples to nonzero Fraction coefficients.  With
-variables ("f0", "f1", "f2"), the polynomial 3/2*f0*f2^2 - f1 is stored as
+A MultiPoly over n variables is one positive content denominator ``den``
+and a dict ``nums`` from packed exponent ints to nonzero int numerators;
+the coefficient of a term is its numerator over ``den``.  An exponent
+vector (e0, ..., e_{n-1}) of total degree D packs into one int of n + 1
+fields, each W = 24 bits wide, with D in the top field:
 
-    {(1, 0, 2): Fraction(3, 2), (0, 1, 0): Fraction(-1)}
+    D << (n*W)  |  e0 << ((n-1)*W)  |  ...  |  e_{n-1}
 
-The zero polynomial stores no terms.  Terms are kept in a dict; whenever
-they are iterated for display or hashing they are sorted graded
-lexicographically (total degree first, then exponents, highest first), so
-equal polynomials always serialize identically.
+so multiplying two monomials is one int addition, and descending int
+order is graded lexicographic order (total degree first, then exponents,
+highest first).  With variables ("f0", "f1", "f2"), the polynomial
+3/2*f0*f2^2 - f1 is stored as
+
+    den = 2,  nums = {3 << 72 | 1 << 48 | 2: 3,  1 << 72 | 1 << 24: -2}
+
+The storage is kept content-normalized, gcd(den, *nums.values()) == 1,
+so equal polynomials have equal ``den`` and ``nums``; the zero polynomial
+is den = 1 and no terms.  Every exponent lies in [0, 2^W) because the
+total degree does: a constructor term or a product whose total degree
+would reach 2^W raises OverflowError instead of carrying into the next
+field.  ``terms`` builds the exponent-tuple -> Fraction view on demand.
 
 RingMatrix is a dense 2-D array whose entries are Fractions or MultiPolys
 over one shared variable list.  The product of two rational matrices runs
@@ -27,10 +39,12 @@ short of n, and otherwise the last pivot over the row multipliers.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from .exactnum import alt_sign
+
+FIELD_BITS = 24  # W: width of each packed exponent field
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 def _as_coeff(c) -> Fraction:
@@ -41,24 +55,68 @@ def _as_coeff(c) -> Fraction:
     raise TypeError(f"not a rational coefficient: {c!r}")
 
 
+def _check_degree(degree: int) -> None:
+    if degree > _FIELD_MASK:
+        raise OverflowError(f"total degree {degree} does not fit a {FIELD_BITS}-bit exponent field")
+
+
+def _pack(exp) -> int:
+    """The packed key of an exponent tuple whose total degree fits a field."""
+    key = sum(exp)
+    for e in exp:
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def _poly(variables, den: int, nums: dict) -> "MultiPoly":
+    """A MultiPoly over ``variables`` from nonzero numerators over ``den``,
+    divided through by their common content with ``den``."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: v // g for k, v in nums.items()}
+    out = object.__new__(MultiPoly)
+    out.vars = variables
+    out.den = den
+    out.nums = nums
+    return out
+
+
 class MultiPoly:
     """Sparse polynomial in a fixed tuple of named variables."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "den", "nums")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
         arity = len(self.vars)
-        clean = {}
+        coeffs = {}
         if terms:
             for exp, c in terms.items():
                 exp = tuple(exp)
                 if len(exp) != arity:
                     raise ValueError(f"exponent arity {len(exp)} != {arity}")
+                if any(type(e) is not int or e < 0 for e in exp):
+                    raise ValueError(f"exponents must be nonnegative ints, got {exp!r}")
+                _check_degree(sum(exp))
                 c = _as_coeff(c)
                 if c:
-                    clean[exp] = c
-        self.terms = clean
+                    coeffs[_pack(exp)] = c
+        # over the lcm of the denominators the content is already 1
+        self.den = math.lcm(*[c.denominator for c in coeffs.values()])
+        self.nums = {k: c.numerator * (self.den // c.denominator) for k, c in coeffs.items()}
+
+    # -- packed exponents ------------------------------------------------
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        n = len(self.vars)
+        return tuple((key >> (FIELD_BITS * (n - 1 - i))) & _FIELD_MASK for i in range(n))
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """Exponent tuple -> Fraction coefficient, built on each access."""
+        return {self._unpack(k): Fraction(v, self.den) for k, v in self.nums.items()}
 
     # -- constructors ------------------------------------------------
 
@@ -68,8 +126,8 @@ class MultiPoly:
 
     @classmethod
     def const(cls, variables, c) -> "MultiPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): _as_coeff(c)})
+        c = _as_coeff(c)  # a constant's packed exponent is 0
+        return _poly(tuple(variables), c.denominator, {0: c.numerator} if c else {})
 
     @classmethod
     def variable(cls, variables, index: int) -> "MultiPoly":
@@ -78,7 +136,7 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range")
         exp = [0] * len(variables)
         exp[index] = 1
-        return cls(variables, {tuple(exp): Fraction(1)})
+        return cls(variables, {tuple(exp): 1})
 
     # -- ring structure ----------------------------------------------
 
@@ -93,25 +151,22 @@ class MultiPoly:
         if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
         other = self._lift(other)
-        terms = dict(self.terms)
-        get = terms.get
-        for exp, c in other.terms.items():
-            old = get(exp)
-            s = c if old is None else old + c
+        g = math.gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        nums = dict(self.nums) if sa == 1 else {k: v * sa for k, v in self.nums.items()}
+        get = nums.get
+        for k, v in other.nums.items():
+            s = get(k, 0) + v * sb
             if s:
-                terms[exp] = s
+                nums[k] = s
             else:
-                del terms[exp]
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+                del nums[k]
+        return _poly(self.vars, self.den * sa, nums)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly(self.vars)
-        out.terms = {exp: -c for exp, c in self.terms.items()}
-        return out
+        return _poly(self.vars, self.den, {k: -v for k, v in self.nums.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (MultiPoly, int, Fraction)):
@@ -125,23 +180,22 @@ class MultiPoly:
         if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
-            out = MultiPoly(self.vars)
-            if c:
-                out.terms = {exp: v * c for exp, v in self.terms.items()}
-            return out
+            p = other.numerator
+            nums = {k: v * p for k, v in self.nums.items()} if p else {}
+            return _poly(self.vars, self.den * other.denominator, nums)
         other = self._lift(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
+        if not (self.nums and other.nums):
+            return _poly(self.vars, 1, {})
+        top = FIELD_BITS * len(self.vars)
+        _check_degree((max(self.nums) >> top) + (max(other.nums) >> top))
+        acc: dict[int, int] = {}
         get = acc.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(operator.add, e1, e2))
-                c = c1 * c2
-                old = get(exp)
-                acc[exp] = c if old is None else old + c
-        out = MultiPoly(self.vars)
-        out.terms = {exp: c for exp, c in acc.items() if c}
-        return out
+        right = other.nums.items()
+        for k1, v1 in self.nums.items():
+            for k2, v2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + v1 * v2
+        return _poly(self.vars, self.den * other.den, {k: v for k, v in acc.items() if v})
 
     __rmul__ = __mul__
 
@@ -164,13 +218,13 @@ class MultiPoly:
         return out
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            return self.vars == other.vars and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == MultiPoly.const(self.vars, other).terms
+            other = MultiPoly.const(self.vars, other)
+        if isinstance(other, MultiPoly):
+            return self.vars == other.vars and self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     __hash__ = None
@@ -179,39 +233,38 @@ class MultiPoly:
 
     def partial(self, var_index: int) -> "MultiPoly":
         """Formal partial derivative with respect to the indexed variable."""
-        if not 0 <= var_index < len(self.vars):
+        n = len(self.vars)
+        if not 0 <= var_index < n:
             raise ValueError(f"variable index {var_index} out of range")
-        terms = {}
-        for exp, c in self.terms.items():
-            e = exp[var_index]
+        shift = FIELD_BITS * (n - 1 - var_index)
+        step = (1 << shift) + (1 << (FIELD_BITS * n))  # one off e_i and off the degree
+        nums = {}
+        for k, v in self.nums.items():
+            e = (k >> shift) & _FIELD_MASK
             if e:
-                nexp = exp[:var_index] + (e - 1,) + exp[var_index + 1:]
-                terms[nexp] = terms.get(nexp, Fraction(0)) + c * e
-        out = MultiPoly(self.vars)
-        out.terms = {e: c for e, c in terms.items() if c}
-        return out
+                nums[k - step] = v * e
+        return _poly(self.vars, self.den, nums)
 
     def evaluate(self, point) -> Fraction:
         point = [_as_coeff(v) for v in point]
         if len(point) != len(self.vars):
             raise ValueError(f"point arity {len(point)} != {len(self.vars)}")
         total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exp):
+        for k, v in self.nums.items():
+            for x, e in zip(point, self._unpack(k)):
                 if e:
                     v *= x ** e
             total += v
-        return total
+        return total / self.den
 
     # -- canonical form ------------------------------------------------
 
     def canonical_terms(self):
         """Terms sorted graded-lex, highest first."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return [(self._unpack(k), Fraction(self.nums[k], self.den)) for k in sorted(self.nums, reverse=True)]
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for exp, c in self.canonical_terms():

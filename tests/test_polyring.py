@@ -7,6 +7,7 @@ import pytest
 from binform.forms import generic_form, random_form, unstable_form
 from binform.invariants import transvection_matrix
 from binform.polyring import (
+    FIELD_BITS,
     MultiPoly,
     RingMatrix,
     charpoly,
@@ -67,6 +68,33 @@ def test_canonical_str_is_sorted():
     assert str(p) == "1*f0*f1 + 1*f2 + 5"
 
 
+@pytest.mark.parametrize("exp", [(-1, 0), (1.5, 0), (True, 0), (0, False), (1, "2"), (Fraction(1), 0)])
+def test_exponents_must_be_nonnegative_ints(exp):
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        MultiPoly(("f0", "f1"), {exp: 2})
+
+
+def test_packed_field_boundary():
+    top = 2 ** FIELD_BITS - 1
+    f0, f1 = _var(0), _var(1)
+    high = f0 ** top
+    assert high == MultiPoly(V3, {(top, 0, 0): 1})
+    assert str(high) == f"1*f0^{top}"
+    assert high.terms == {(top, 0, 0): 1}
+    assert high.partial(0) == top * f0 ** (top - 1)
+    assert (f0 ** (top - 1) * f1).canonical_terms() == [((top - 1, 1, 0), 1)]
+    # a degree that reaches 2^W must raise, never carry into the next field
+    with pytest.raises(OverflowError):
+        f0 ** (top + 1)
+    for other in (f0, f1, f0 + 1):
+        with pytest.raises(OverflowError):
+            high * other
+    with pytest.raises(OverflowError):
+        MultiPoly(V3, {(top + 1, 0, 0): 1})
+    with pytest.raises(OverflowError):
+        MultiPoly(V3, {(top, 1, 0): 1})
+
+
 def _random_poly(rng, nterms=4, maxdeg=3):
     terms = {}
     for _ in range(nterms):
@@ -85,6 +113,171 @@ def test_ring_axioms_randomized():
         assert p * q == q * p
         assert p * (q + r) == p * q + p * r
         assert p - p == MultiPoly.zero(V3)
+
+
+class _RefPoly:
+    """Exponent tuple -> Fraction arithmetic: the slow route for MultiPoly."""
+
+    def __init__(self, variables, terms):
+        self.vars = variables
+        self.terms = {e: Fraction(c) for e, c in terms.items() if c}
+
+    def _lift(self, other):
+        if isinstance(other, _RefPoly):
+            return other
+        return _RefPoly(self.vars, {(0,) * len(self.vars): other})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in self._lift(other).terms.items():
+            terms[e] = terms.get(e, Fraction(0)) + c
+        return _RefPoly(self.vars, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _RefPoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __mul__(self, other):
+        acc = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in self._lift(other).terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+        return _RefPoly(self.vars, acc)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return self * (Fraction(1) / c)
+
+    def __pow__(self, p):
+        out = _RefPoly(self.vars, {(0,) * len(self.vars): 1})
+        for _ in range(p):
+            out = out * self
+        return out
+
+    def partial(self, i):
+        terms = {}
+        for e, c in self.terms.items():
+            if e[i]:
+                d = e[:i] + (e[i] - 1,) + e[i + 1:]
+                terms[d] = terms.get(d, Fraction(0)) + c * e[i]
+        return _RefPoly(self.vars, terms)
+
+    def evaluate(self, point):
+        return sum((c * math.prod(Fraction(x) ** k for x, k in zip(point, e))
+                    for e, c in self.terms.items()), Fraction(0))
+
+    def canonical_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for exp, c in self.canonical_terms():
+            factors = [str(c)]
+            for name, e in zip(self.vars, exp):
+                if e == 1:
+                    factors.append(name)
+                elif e > 1:
+                    factors.append(f"{name}^{e}")
+            parts.append("*".join(factors))
+        return " + ".join(parts)
+
+
+def _same(packed, ref):
+    assert type(packed) is MultiPoly
+    assert packed == MultiPoly(ref.vars, ref.terms)
+    assert str(packed) == str(ref)
+    assert packed.terms == ref.terms
+    assert all(type(c) is Fraction for c in packed.terms.values())
+    assert packed.canonical_terms() == ref.canonical_terms()
+
+
+def _reference_pair(rng, case):
+    """Two seeded polynomials over 3-13 variables, packed and reference."""
+    names = tuple(f"f{i}" for i in range(rng.randint(3, 13)))
+    dens = [1] + [math.factorial(t) for t in range(2, 11)]
+    kind = case % 5
+
+    def coeff():
+        if kind == 0:  # int-only coefficients
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice(dens))
+
+    def terms(maxdeg):
+        out = {}
+        for _ in range(rng.randint(1, 6)):
+            exp = [0] * len(names)
+            for _ in range(rng.randint(0, maxdeg)):
+                exp[rng.randrange(len(names))] += 1
+            out[tuple(exp)] = coeff()
+        return out
+
+    a = terms(rng.randint(0, 4))
+    if kind == 2:  # a constant operand
+        b = {(0,) * len(names): coeff()}
+    elif kind == 3:  # cancels against a: a + b is 0
+        b = {e: -c for e, c in a.items()}
+    else:  # overlapping supports, degrees drawn apart
+        b = terms(rng.randint(0, 6))
+        b.update({e: coeff() for e in list(a)[:2]})
+    return [(MultiPoly(names, t), _RefPoly(names, t)) for t in (a, b)]
+
+
+def test_packed_core_against_reference_polynomials():
+    rng = random.Random(13)
+    seen = set()
+    for case in range(60):
+        (p, pr), (q, qr) = _reference_pair(rng, case)
+        _same(p, pr)
+        _same(q, qr)
+        _same(p + q, pr + qr)
+        _same(p - q, pr - qr)
+        _same(q - p, qr - pr)
+        _same(-p, -pr)
+        _same(p * q, pr * qr)
+        for c in (rng.randint(-50, 50), Fraction(rng.randint(-50, 50), rng.randint(1, 3628800)), 0):
+            _same(p * c, pr * c)
+            _same(c * q, c * qr)
+            _same(p + c, pr + c)
+            _same(c - q, qr * -1 + c)
+            if c:
+                _same(p / c, pr / c)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    p / c
+        for e in range(4):
+            _same(q ** e, qr ** e)
+        for i in range(len(p.vars)):
+            _same(p.partial(i), pr.partial(i))
+        point = [Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in p.vars]
+        assert p.evaluate(point) == pr.evaluate(point)
+        assert type(p.evaluate(point)) is Fraction
+        assert (p == q) == (pr.terms == qr.terms)
+
+        coeffs = list(pr.terms.values()) + list(qr.terms.values())
+        if pr.terms and qr.terms and not (pr + qr).terms:
+            seen.add("cancels to 0")
+        if any(set(r.terms) == {(0,) * len(r.vars)} for r in (pr, qr)):
+            seen.add("constant")
+        if coeffs and all(c.denominator == 1 for c in coeffs):
+            seen.add("int only")
+        if any(c.denominator == math.factorial(10) for c in coeffs):
+            seen.add("denominator 10!")
+        if any(c < 0 for c in coeffs):
+            seen.add("negative")
+        if {sum(e) for e in pr.terms} != {sum(e) for e in qr.terms}:
+            seen.add("different degrees")
+        if len(p.vars) == 13:
+            seen.add("13 variables")
+    assert seen == {"cancels to 0", "constant", "int only", "denominator 10!", "negative",
+                    "different degrees", "13 variables"}
 
 
 def test_matrix_examples():
@@ -245,6 +438,21 @@ def test_charpoly_against_interpolated_determinant():
             )
             expected = sum(coeffs[p] * x ** p for p in range(5))
             assert det_exact(shifted) == expected
+
+
+def test_charpoly_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    rng = random.Random(14)
+    dens = [math.factorial(t) for t in range(1, 11)]
+    for case in range(30):
+        n = 1 + case % 7
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice(dens)) if case % 3 else rng.randint(-9, 9)
+                 for _ in range(n)] for _ in range(n)]
+        oracle = sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator) for x in r]
+                               for r in rows])
+        want = [Fraction(int(c.p), int(c.q)) for c in reversed(oracle.charpoly(lam).all_coeffs())]
+        assert charpoly(RingMatrix(rows)) == want
 
 
 def test_newton_identities_link_charpoly_and_traces():

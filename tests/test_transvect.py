@@ -165,3 +165,48 @@ def test_symbolic_and_numeric_paths_agree():
         point = [Fraction(rng.randint(-5, 5)) for _ in range(5)]
         numeric = transvectant(BinaryForm(point), BinaryForm(point), 4).constant()
         assert sym.evaluate(point) == numeric
+
+
+def _generic_cases():
+    """(names, f, g, g0): forms of degrees m <= n <= 6 with independent
+    symbolic coefficients a0..am and b0..bn, then each generic_form(d),
+    d <= 6, paired with itself; g's coefficients start at names[g0]."""
+    for m in range(1, 7):
+        for n in range(m, 7):
+            names = tuple(f"a{i}" for i in range(m + 1)) + tuple(f"b{j}" for j in range(n + 1))
+            f = BinaryForm([MultiPoly.variable(names, i) for i in range(m + 1)])
+            g = BinaryForm([MultiPoly.variable(names, m + 1 + j) for j in range(n + 1)])
+            yield names, f, g, m + 1
+    for d in range(1, 7):
+        f = generic_form(d)
+        yield f.coeffs[0].vars, f, f, 0
+
+
+def test_generic_transvectants_against_sympy_diff():
+    # the explicit formula of the transvect.py docstring, differentiated by sympy
+    sympy = pytest.importorskip("sympy")
+    x1, x2 = sympy.symbols("x1 x2")
+    cases = 0
+    for names, f, g, g0 in _generic_cases():
+        syms = sympy.symbols(names)
+        m, n = f.degree, g.degree
+        big_f = sum(syms[i] * x1 ** (m - i) * x2 ** i for i in range(m + 1))
+        big_g = sum(syms[g0 + j] * x1 ** (n - j) * x2 ** j for j in range(n + 1))
+        for k in range(min(m, n) + 1):
+            pre = sympy.Rational(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
+            expr = pre * sum(
+                (-1) ** l * comb(k, l)
+                * sympy.diff(big_f, x1, k - l, x2, l) * sympy.diff(big_g, x1, l, x2, k - l)
+                for l in range(k + 1)
+            )
+            order = m + n - 2 * k
+            want = [{} for _ in range(order + 1)]
+            poly = sympy.Poly(sympy.expand(expr), x1, x2, *syms)
+            for (e1, e2, *exp), c in poly.terms() if poly else ():  # odd (f, f)_k is 0
+                assert e1 + e2 == order
+                want[e2][tuple(exp)] = Fraction(int(c.p), int(c.q))
+            got = transvectant(f, g, k)
+            assert got.degree == order
+            assert got == BinaryForm([MultiPoly(names, w) for w in want])
+            cases += 1
+    assert cases == 77 + 27
