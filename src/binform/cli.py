@@ -55,8 +55,9 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     else:
         text = _to_csv(report)
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        data = text.encode("ascii")  # before the open, so a failure leaves no file
+        with open(args.out, "wb") as fh:
+            fh.write(data)
     else:
         sys.stdout.write(text)
 
@@ -297,11 +298,11 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         report = _HANDLERS[args.cmd](args)
+        if report is not None:
+            _emit(report, args)
     except (ValueError, ArithmeticError, OSError, KeyError, TypeError) as exc:
         print(f"binform: error: {exc}", file=sys.stderr)
         return 2
-    if report is not None:
-        _emit(report, args)
     return 0
 
 

@@ -10,6 +10,7 @@ over |k| <= min(a_i) and is empty (value 0) as soon as any a_i < 0.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exactnum import alt_sign, binom_ext, fact_ext, fact_product
@@ -106,15 +107,8 @@ def nkr(k: int, r: int) -> int:
     """
     if k < 2 or not 2 <= r <= k + 1:
         raise ValueError(f"need k >= 2 and 2 <= r <= k+1, got (k, r) = ({k}, {r})")
-    total = 0
-    for j in range(k - r + 2):
-        prod = alt_sign(r * j)
-        for t in range(r):
-            prod *= binom_ext(k, j + t)
-            if not prod:
-                break
-        total += prod
-    return total
+    row = [binom_ext(k, t) for t in range(k + 1)]
+    return sum(alt_sign(r * j) * math.prod(row[j:j + r]) for j in range(k - r + 2))
 
 
 def nkr_via_ups(p: int, q: int) -> Fraction:

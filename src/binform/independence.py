@@ -47,13 +47,7 @@ def jacobian_matrix(form: BinaryForm) -> RingMatrix:
         raise ValueError("the Jacobian is evaluated at numeric forms")
     k = form.degree // 2
     m = transvection_matrix(form, k)
-    power = m
-    rows = []
-    for r in range(2, k + 2):
-        rows.append(_gradient_row(power, k, r))
-        if r <= k:
-            power = power.mul(m)
-    return RingMatrix(rows)
+    return RingMatrix([_gradient_row(power, k, r) for r, power in enumerate(m.powers(k), 2)])
 
 
 def jacobian_unstable_closed(k: int) -> RingMatrix:

@@ -72,9 +72,7 @@ def trace_invariant(form: BinaryForm, n: int, p: int):
         raise ValueError("power must be >= 1")
     m = transvection_matrix(form, n)
     a, b = (p + 1) // 2, p // 2
-    power = half = m
-    for e in range(2, a + 1):
-        power = power.mul(m)
+    for e, power in enumerate(m.powers(a), 1):
         if e == b:
             half = power
     if form.is_numeric():

@@ -344,10 +344,17 @@ class RingMatrix:
             raise ValueError("negative matrix power")
         if p == 0:
             return RingMatrix.identity(self.nrows)
-        out = self
-        for _ in range(p - 1):
-            out = out.mul(self)
+        for out in self.powers(p):
+            pass
         return out
+
+    def powers(self, p: int):
+        """Yield M, M^2, ..., M^p; each step is one product, made when asked for."""
+        power = self
+        for e in range(p):
+            if e:
+                power = power.mul(self)
+            yield power
 
     def trace(self):
         if not self.is_square():
@@ -370,12 +377,7 @@ def charpoly(m: RingMatrix) -> list[Fraction]:
     if not _rational_entries(m):
         raise TypeError("charpoly requires rational entries")
     n = m.nrows
-    traces = []
-    power = m
-    for j in range(1, n + 1):
-        traces.append(power.trace())
-        if j < n:
-            power = power.mul(m)
+    traces = [power.trace() for power in m.powers(n)]
     e = [Fraction(1)]
     for i in range(1, n + 1):
         s = Fraction(0)

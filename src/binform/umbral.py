@@ -2,14 +2,15 @@
 
 A bracket monomial is a product of bracket powers (u v)^e and linear
 powers u_x^w over symbol letters, each letter tagged with a form degree.
-Evaluation expands the product over the letter variables (u1, u2), with
+Evaluation multiplies the product out over letter variables (u1, u2), with
 
     (u v) = u1*v2 - u2*v1          u_x = u1*x1 + u2*x2
 
-and then substitutes, for each letter u of degree d, the monomial
-u1^(d-i) u2^i by f_i(u) / C(d, i), where f_i(u) is the i-th coefficient of
-the form assigned to u.  Dividing by the binomial is the unique
-normalization under which
+and substitutes, for each letter u of degree d, the monomial u1^(d-i) u2^i
+by f_i(u) / C(d, i), where f_i(u) is the i-th coefficient of the form
+assigned to u.  Letters are contracted one at a time, each substituted as
+soon as all its factors are in, so the full expansion is never built.
+Dividing by the binomial is the unique normalization under which
 
     (a b)^k a_x^(m-k) b_x^(n-k)  evaluates to  transvectant(F, G, k)
 
@@ -27,7 +28,6 @@ comma-separated), "u_x^w" factors carry the x powers, and the optional
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -104,17 +104,18 @@ class BracketMonomial:
 
 
 def umbral_eval(mono: BracketMonomial, assignment: dict[str, BinaryForm]) -> BinaryForm:
-    """Expand the monomial over the symbol variables and substitute forms.
+    """Contract the monomial letter by letter, substituting forms as it goes.
 
     assignment maps every letter to a BinaryForm whose degree matches the
     letter's tag; coefficients may be numeric or symbolic.  The result is a
     form of order sum of the x powers (order 0 for invariants).
 
-    Weights are collected per index key, the u2 exponent of each letter and
-    the power of x2: the expansion is multiplied out factor by factor over
-    the integers, summing the weights of terms that share a key, and the
-    product of f_i(u) / C(d, i) over the letters is built once for each key
-    of nonzero weight rather than once for each term of the expansion.
+    Running values are kept per index key, the u2 exponent of each letter
+    and the power of x2.  Letter u multiplies in its brackets with later
+    letters and its x power, then is closed: its exponent i becomes the
+    factor f_i(u) / C(d, i) and its slot is reset.  So keys range over the
+    open letters only: two for a cycle, whose contraction is the matrix
+    power behind trace_invariant.
     """
     for u in mono.letters:
         if u not in assignment:
@@ -126,34 +127,33 @@ def umbral_eval(mono: BracketMonomial, assignment: dict[str, BinaryForm]) -> Bin
             )
     slot = {u: t for t, u in enumerate(mono.letters)}
     x2 = len(slot)  # a key is the u2 exponent of each letter, then the power of x2
-    # (u1 v2 - u2 v1)^e has the terms C(e,l) (u1 v2)^(e-l) (-u2 v1)^l;
-    # (u1 x1 + u2 x2)^w has the terms C(w,l) u1^(w-l) u2^l x1^(w-l) x2^l.
-    factors = [(e, slot[u], slot[v], True) for (u, v), e in sorted(mono.edges.items())]
-    factors += [(w, slot[u], x2, False) for u, w in sorted(mono.x_powers.items())]
-    weights = {(0,) * (x2 + 1): 1}
-    for e, s, t, bracket in factors:
-        spread: dict[tuple[int, ...], int] = {}
-        for key, weight in weights.items():
-            for l in range(e + 1):
-                nxt = list(key)
-                nxt[s] += l
-                nxt[t] += e - l if bracket else l
-                nxt = tuple(nxt)
-                term = weight * binom_ext(e, l) * (alt_sign(l) if bracket else 1)
-                spread[nxt] = spread.get(nxt, 0) + term
-        weights = spread
-    out = [0] * (mono.order + 1)
-    for key, weight in weights.items():
-        low = key[:x2]
-        coeffs = [assignment[u].coeffs[i] for u, i in zip(mono.letters, low)]
-        if not weight or not all(coeffs):
-            continue
-        binoms = math.prod(binom_ext(mono.degrees[u], i) for u, i in zip(mono.letters, low))
-        term = mono.coeff * Fraction(weight, binoms)
-        for fi in coeffs:
-            term = term * fi
-        out[key[x2]] = out[key[x2]] + term
-    return BinaryForm(out)
+    state = {(0,) * (x2 + 1): mono.coeff}
+    for u, s in slot.items():
+        # (u1 v2 - u2 v1)^e has the terms C(e,l) (u1 v2)^(e-l) (-u2 v1)^l;
+        # (u1 x1 + u2 x2)^w has the terms C(w,l) u1^(w-l) u2^l x1^(w-l) x2^l.
+        # A new key starts at its first term: 0 + term would lift 0 to a MultiPoly.
+        factors = [(e, slot[v], True) for (a, v), e in mono.edges.items() if a == u]
+        factors += [(mono.x_powers[u], x2, False)] if u in mono.x_powers else []
+        for e, t, bracket in factors:
+            spread = {}
+            for key, value in state.items():
+                for l in range(e + 1):
+                    nxt = list(key)
+                    nxt[s] += l
+                    nxt[t] += e - l if bracket else l
+                    nxt = tuple(nxt)
+                    term = value * (binom_ext(e, l) * (alt_sign(l) if bracket else 1))
+                    spread[nxt] = spread[nxt] + term if nxt in spread else term
+            state = spread
+        subst = [c / binom_ext(mono.degrees[u], i) for i, c in enumerate(assignment[u].coeffs)]
+        closed = {}
+        for key, value in state.items():
+            g = subst[key[s]]
+            if value and g:
+                nxt, term = key[:s] + (0,) + key[s + 1:], value * g
+                closed[nxt] = closed[nxt] + term if nxt in closed else term
+        state = closed
+    return BinaryForm([state.get((0,) * x2 + (j,), 0) for j in range(mono.order + 1)])
 
 
 def cyclic_bracket(k: int, p: int) -> BracketMonomial:

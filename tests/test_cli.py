@@ -284,3 +284,16 @@ def test_form_file_with_float_or_bool_coefficients_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "invariant", "P", "--d", "4", "--n", "2", "--p", "2",
                          "--form", str(bad))
     assert code == 2 and out == "" and "strings or integers" in err
+
+
+def test_unwritable_out_exits_2_and_leaves_no_file(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "report.json"
+    for argv in (("sixj", "value", "--k", "2", "--n", "2"), ("combsum", "nkr", "--k", "4", "--r", "3")):
+        code, out, err = run(capsys, *argv, "--out", str(missing))
+        assert code == 2 and out == "" and err.startswith("binform: error:")
+        assert not missing.parent.exists()
+    csv = tmp_path / "f.csv"  # a non-ASCII letter reaches the CSV report unescaped
+    code, out, err = run(capsys, "bracket", "eval", "--expr", "(aβ b)^2 ; deg=2", "--generic",
+                         "--format", "csv", "--out", str(csv))
+    assert code == 2 and out == "" and err.startswith("binform: error:")
+    assert not csv.exists()

@@ -74,7 +74,8 @@ def test_cyclic_bracket_structure():
 
 
 @pytest.mark.parametrize(
-    "k,p", [(2, 2), (2, 3), (2, 4), (2, 5), (4, 2), (4, 3), (4, 4), (4, 5), (6, 3), (6, 4)]
+    "k,p",
+    [(2, 2), (2, 3), (2, 4), (2, 5), (4, 2), (4, 3), (4, 4), (4, 5), (6, 3), (6, 4), (6, 6), (6, 7)],
 )
 def test_cyclic_bracket_equals_trace_invariant(k, p):
     f = generic_form(2 * k)
@@ -266,3 +267,20 @@ def test_collected_weights_on_reversed_odd_pair():
     f = BinaryForm([0, 2, 0, -1])  # zero coefficients on both ends
     _assert_same_as_per_term(mono, {"a": f, "b": random_form(4, rng)})
     _assert_same_as_per_term(mono, {"a": _symbolic_form(3, rng), "b": _symbolic_form(4, rng)})
+
+
+def test_contraction_with_degree_zero_and_x_only_letters():
+    # z has degree 0, so it brings no factor and only f_0(z); c has an x
+    # power and no bracket, so it only widens the order
+    rng = random.Random(13)
+    mono = BracketMonomial(
+        ("a", "z", "b", "c"), {"a": 3, "z": 0, "b": 4, "c": 2}, {("a", "b"): 2}, {"a": 1, "b": 2, "c": 2}
+    )
+    assert mono.order == 5
+    numeric = {"a": random_form(3, rng), "z": BinaryForm([-3]), "b": random_form(4, rng), "c": random_form(2, rng)}
+    _assert_same_as_per_term(mono, numeric)
+    symbolic = {u: _symbolic_form(mono.degrees[u], rng) for u in mono.letters}
+    symbolic["z"] = BinaryForm([MultiPoly.variable(RING, 0) + 2])
+    _assert_same_as_per_term(mono, symbolic)
+    assert not umbral_eval(mono, numeric).is_zero()
+    assert umbral_eval(mono, dict(numeric, z=BinaryForm([0]))).is_zero()
