@@ -25,6 +25,7 @@ from .forms import (
 from .independence import (
     independence_certificate,
     jacobian_matrix,
+    jacobian_rank,
     jacobian_unstable_closed,
     unstable_minor,
 )

@@ -7,47 +7,168 @@ and cyclicity of the trace:
     d tr(M^r) / d f_s = r * sum_{i,j} [M^(r-1)]_{ij} * d M_{ji} / d f_s
 
 where d M_{ji} / d f_s is the constant t_coeff(j-i+k, i, 2k, k, k) when
-s = j - i + k and zero otherwise.  Specializing at the nullcone form
-x1^(k-1) x2^(k+1) collapses each row to a single entry with an explicit
-closed form in N(k, r); the k x k minor on columns 0..k-1 is then an
-antidiagonal determinant, nonzero exactly when every N(k, r) is nonzero.
+s = j - i + k and zero otherwise.  Both M = A / D and the weights
+t_coeff(j-i+k, i, 2k, k, k) = W_ij / E are cleared once to integers, so
+row r of the Jacobian is a nonzero rational multiple of the integer row
+
+    N_r[s] = sum_{j-i+k=s} (A^(r-1))_ij W_ij,
+
+and one running integer power of A serves every row.  The exact route
+builds one Fraction per entry of the final matrix; the rank route runs
+the same loop mod a prime (see ``jacobian_rank``).
+
+Specializing at the nullcone form x1^(k-1) x2^(k+1) collapses each row
+to a single entry with an explicit closed form in N(k, r); the k x k minor
+on columns 0..k-1 is then an antidiagonal determinant, nonzero exactly
+when every N(k, r) is nonzero.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add, mul
 
 from .combsum import nkr
 from .exactnum import alt_sign, binom_ext
 from .forms import BinaryForm, random_form, unstable_form
-from .invariants import transvection_matrix
-from .polyring import RingMatrix, det_exact, rank_exact
-from .transvect import t_coeff
+from .invariants import _check_fk
+from .polyring import RingMatrix, rank_exact
+
+# The prime of the modular rank proof: the largest below 2^30, so that a
+# residue fits one 30-bit digit of a Python int and products stay small.
+# Any prime gives a proof; a large one makes a rank that falls short mod p,
+# and so the exact fallback, rare.
+RANK_PRIME = 2**30 - 35
 
 
-def _gradient_row(power: RingMatrix, k: int, r: int) -> tuple[Fraction, ...]:
-    """Gradient of tr(M^r) from ``power`` = M^(r-1)."""
-    d = 2 * k
-    row = [Fraction(0)] * (d + 1)
-    for i in range(k + 1):
-        for j in range(k + 1):
-            v = power[i, j]
-            if v:
-                s = j - i + k
-                row[s] += r * v * t_coeff(s, i, d, k, k)
-    return tuple(row)
+def _weights(k: int) -> tuple[list[list[int]], int]:
+    """(W, E) with t_coeff(j-i+k, i, 2k, k, k) == W[i][j] / E.
+
+    The order of G equals the transvectant index k, so the sum in t_coeff
+    has the single term l = k - i, and the weight is
+    (-1)^(k-i) C(k, j) / C(2k, j-i+k); E is the lcm of the C(2k, s).
+    """
+    binoms = [math.comb(2 * k, s) for s in range(2 * k + 1)]
+    e = math.lcm(*binoms)
+    w = [[alt_sign(k - i) * math.comb(k, j) * (e // binoms[j - i + k]) for j in range(k + 1)] for i in range(k + 1)]
+    return w, e
+
+
+def _times(power: list[list[int]], a: list[list[int]], cols: list[tuple[int, ...]]) -> list[list[int]]:
+    """The integer product power @ a, given a's columns too.  A row with
+    few nonzero entries (the witness's powers have one per row) combines
+    the rows of a it selects; a denser row takes dot products with the
+    columns."""
+    out = []
+    for row in power:
+        picked = [(x, a[j]) for j, x in enumerate(row) if x]
+        if 2 * len(picked) < len(row):
+            acc = [0] * len(cols)
+            for x, arow in picked:
+                acc = list(map(add, acc, map(mul, arow, repeat(x))))
+            out.append(acc)
+        else:
+            out.append([sum(map(mul, row, col)) for col in cols])
+    return out
+
+
+def _gradient_rows(form: BinaryForm, modulus: int | None = None):
+    """Yield (scale, row) for r = 2..k+1: the gradient of tr(M^r) at the
+    numeric form is scale * row, for an integer row.
+
+    M_ij = f_(i-j+k) W_ji / E is linear in the form, so clearing the form
+    to F / D_f gives M = A / D with A_ij = F_(i-j+k) W_ji and D = D_f E.
+    The loop carries one integer power P with M^(r-1) = c * P for a
+    rational c, and row[s] = sum_{j-i+k=s} P_ij W_ij.  Exactly (modulus
+    None), P is divided by the gcd of its entries after every product and
+    scale = r * c / E.  With a modulus, P = A^(r-1) and the rows are
+    reduced mod it, no content is taken out, and scale is None: the rows
+    are then the N_r of the module docstring, mod the modulus.
+    """
+    if not form.is_numeric():
+        raise ValueError("the Jacobian is evaluated at numeric forms")
+    k = _check_fk(form, form.degree // 2)
+    w, e = _weights(k)
+    fden = math.lcm(*(c.denominator for c in form.coeffs))
+    f = [c.numerator * (fden // c.denominator) for c in form.coeffs]
+    a = [[f[i - j + k] * w[j][i] for j in range(k + 1)] for i in range(k + 1)]
+    d = fden * e  # M = A / d
+    if modulus is not None:
+        a = [[x % modulus for x in row] for row in a]
+        w = [[x % modulus for x in row] for row in w]
+    cols = list(zip(*a))
+    power, c = a, Fraction(1, d)
+    for r in range(2, k + 2):
+        if r > 2:
+            power = _times(power, a, cols)
+            if modulus is not None:
+                power = [[x % modulus for x in row] for row in power]
+            else:
+                g = math.gcd(*chain.from_iterable(power)) or 1
+                if g > 1:
+                    power = [[x // g for x in row] for row in power]
+                c *= Fraction(g, d)
+        row = [0] * (2 * k + 1)
+        for i, (prow, wrow) in enumerate(zip(power, w)):
+            row[k - i:2 * k + 1 - i] = map(add, row[k - i:2 * k + 1 - i], map(mul, prow, wrow))
+        if modulus is None:
+            yield r * c / e, row
+        else:
+            yield None, [x % modulus for x in row]
 
 
 def jacobian_matrix(form: BinaryForm) -> RingMatrix:
     """Rows r = 2..k+1 hold the gradient of tr(M^r) at the given numeric
-    form of degree 2k; shape k x (2k+1).  One running power of M serves
-    every row, so the whole matrix costs k - 1 matrix products."""
-    if not form.is_numeric():
-        raise ValueError("the Jacobian is evaluated at numeric forms")
-    k = form.degree // 2
-    m = transvection_matrix(form, k)
-    return RingMatrix([_gradient_row(power, k, r) for r, power in enumerate(m.powers(k), 2)])
+    form of degree 2k; shape k x (2k+1).  One running integer power of the
+    cleared M serves every row: k - 1 integer matrix products, and one
+    Fraction per entry of the result."""
+    zero = Fraction(0)
+    rows = []
+    for scale, row in _gradient_rows(form):
+        num, den = scale.numerator, scale.denominator
+        rows.append([Fraction(num * v, den) if v else zero for v in row])
+    return RingMatrix(rows)
+
+
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank of the integer rows over GF(p), p prime, by Gaussian elimination in place."""
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def jacobian_rank(form: BinaryForm) -> int:
+    """Rank over Q of ``jacobian_matrix(form)``, proved modulo RANK_PRIME.
+
+    Why a rank of k mod p is a proof: row r of the Jacobian J is the
+    integer row N_r (module docstring) times r / (D^(r-1) E), a nonzero
+    rational, so rank_Q(J) = rank_Q(N).  Every minor of N is an integer,
+    and one that is nonzero mod p is nonzero, so rank_Q(N) >= rank_p(N).
+    N has exactly k rows, so rank_p(N) = k proves rank k over Q.  N is
+    integral whatever the denominators of the form, so no prime needs to be
+    avoided; the prime only sets how often the rank mod p falls short.
+    When it does, the rank mod p proves nothing, and the exact Bareiss
+    rank of ``jacobian_matrix(form)`` decides.
+    """
+    p = RANK_PRIME
+    rows = [row for _, row in _gradient_rows(form, p)]
+    if _rank_mod(rows, p) == len(rows):
+        return len(rows)
+    return rank_exact(jacobian_matrix(form))
 
 
 def jacobian_unstable_closed(k: int) -> RingMatrix:
@@ -70,16 +191,22 @@ def jacobian_unstable_closed(k: int) -> RingMatrix:
 
 
 def unstable_minor(k: int) -> Fraction:
-    """Determinant of columns 0..k-1 of the closed-form Jacobian."""
+    """Determinant of columns 0..k-1 of the closed-form Jacobian.
+
+    Row r has its one nonzero entry in column k - r + 1, so the minor is
+    the antidiagonal product, signed by the order-reversing permutation
+    of k columns: (-1)^C(k,2).
+    """
     full = jacobian_unstable_closed(k)
-    return det_exact(RingMatrix([row[:k] for row in full.rows]))
+    return alt_sign(k * (k - 1) // 2) * math.prod(full[r - 2, k - r + 1] for r in range(2, k + 2))
 
 
 def independence_certificate(k: int, include_random_point: bool = False, seed: int = 0) -> dict:
     """Rank certificate at the nullcone witness (and optionally at a seeded
-    random integer form); the invariants are independent iff rank = k."""
+    random integer form); the invariants are independent iff rank = k.
+    Both ranks come from ``jacobian_rank``."""
     witness = unstable_form(k)
-    rank = rank_exact(jacobian_matrix(witness))
+    rank = jacobian_rank(witness)
     minor = unstable_minor(k)
     report = {
         "k": k,
@@ -96,6 +223,6 @@ def independence_certificate(k: int, include_random_point: bool = False, seed: i
         point = random_form(2 * k, rng)
         report["random_point"] = {
             "coeffs": [str(c) for c in point.coeffs],
-            "rank": rank_exact(jacobian_matrix(point)),
+            "rank": jacobian_rank(point),
         }
     return report

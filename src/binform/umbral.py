@@ -21,7 +21,7 @@ Bracket monomials can be parsed from a compact text grammar, e.g.
 
     (a b)^4 (b c)^4 (c d)^4 (d a)^4 ; deg=8
 
-where letters are identifiers (two per bracket, whitespace- or
+where letters are ASCII identifiers (two per bracket, whitespace- or
 comma-separated), "u_x^w" factors carry the x powers, and the optional
 "deg=" clause tags every letter with one degree.
 """
@@ -178,11 +178,14 @@ def cyclic_bracket(k: int, p: int) -> BracketMonomial:
     )
 
 
+# The grammar is ASCII: without re.ASCII, \w, \s and \d also match
+# non-ASCII letters, spaces and digits, and the CLI echoes the expression
+# into its ASCII reports.
 _BRACKET_RE = re.compile(
-    r"\(\s*([A-Za-z_]\w*)\s*[,\s]\s*([A-Za-z_]\w*)\s*\)\s*(?:\^\s*(\d+))?"
+    r"\(\s*([A-Za-z_]\w*)\s*[,\s]\s*([A-Za-z_]\w*)\s*\)\s*(?:\^\s*(\d+))?", re.ASCII
 )
-_XPOW_RE = re.compile(r"([A-Za-z_]\w*)_x\s*(?:\^\s*(\d+))?")
-_DEG_RE = re.compile(r";\s*deg\s*=\s*(\d+)\s*$")
+_XPOW_RE = re.compile(r"([A-Za-z_]\w*)_x\s*(?:\^\s*(\d+))?", re.ASCII)
+_DEG_RE = re.compile(r";\s*deg\s*=\s*(\d+)\s*$", re.ASCII)
 
 
 def parse_bracket(text: str, default_degree: int | None = None) -> BracketMonomial:
@@ -191,6 +194,8 @@ def parse_bracket(text: str, default_degree: int | None = None) -> BracketMonomi
     The trailing "; deg=N" clause tags all letters with degree N; without
     it, default_degree must be supplied.
     """
+    if not text.isascii():
+        raise ValueError(f"bracket expressions are ASCII only: {text!a}")
     work = text.strip()
     degree = default_degree
     m = _DEG_RE.search(work)

@@ -292,8 +292,16 @@ def test_unwritable_out_exits_2_and_leaves_no_file(tmp_path, capsys):
         code, out, err = run(capsys, *argv, "--out", str(missing))
         assert code == 2 and out == "" and err.startswith("binform: error:")
         assert not missing.parent.exists()
-    csv = tmp_path / "f.csv"  # a non-ASCII letter reaches the CSV report unescaped
+    csv = tmp_path / "f.csv"  # a non-ASCII letter is a parse error: no file
     code, out, err = run(capsys, "bracket", "eval", "--expr", "(aβ b)^2 ; deg=2", "--generic",
                          "--format", "csv", "--out", str(csv))
     assert code == 2 and out == "" and err.startswith("binform: error:")
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_ascii_bracket_letter_exits_2(capsys, fmt):
+    code, out, err = run(capsys, "bracket", "eval", "--expr", "(a\u03b2 b)^2 ; deg=2", "--generic",
+                         "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("binform: error: bracket expressions are ASCII only") and err.isascii()

@@ -3,17 +3,59 @@ from fractions import Fraction
 
 import pytest
 
+from binform import independence
 from binform.combsum import nkr
-from binform.exactnum import alt_sign
-from binform.forms import generic_form, random_form, unstable_form
+from binform.forms import BinaryForm, generic_form, random_form, unstable_form
 from binform.independence import (
+    RANK_PRIME,
     independence_certificate,
     jacobian_matrix,
+    jacobian_rank,
     jacobian_unstable_closed,
     unstable_minor,
 )
-from binform.invariants import trace_invariant
-from binform.polyring import RingMatrix, rank_exact
+from binform.invariants import trace_invariant, transvection_matrix
+from binform.polyring import RingMatrix, det_exact, rank_exact
+from binform.transvect import t_coeff
+
+
+def _gradient_row(power: RingMatrix, k: int, r: int) -> tuple[Fraction, ...]:
+    """Gradient of tr(M^r) from ``power`` = M^(r-1), summed in Fractions."""
+    d = 2 * k
+    row = [Fraction(0)] * (d + 1)
+    for i in range(k + 1):
+        for j in range(k + 1):
+            v = power[i, j]
+            if v:
+                s = j - i + k
+                row[s] += r * v * t_coeff(s, i, d, k, k)
+    return tuple(row)
+
+
+def _rational_form(d: int, rng: random.Random) -> BinaryForm:
+    return BinaryForm([Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(d + 1)])
+
+
+def _banded_form(k: int, rng: random.Random) -> BinaryForm:
+    """Nonzero only at f_(k-1) and f_(k+1): M has two nonzero diagonals, so
+    the rows of its early powers have few nonzero entries each."""
+    coeffs = [Fraction(0)] * (2 * k + 1)
+    coeffs[k - 1] = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+    coeffs[k + 1] = Fraction(rng.choice([-2, 1, 3, 7]), rng.randint(1, 4))
+    return BinaryForm(coeffs)
+
+
+def _rank_forms(k: int, rng: random.Random) -> list[BinaryForm]:
+    """The witness, random forms at bounds 1 and 9, a rational form, a
+    banded form and the zero form."""
+    return [
+        unstable_form(k),
+        random_form(2 * k, rng, bound=1),
+        random_form(2 * k, rng, bound=9),
+        _rational_form(2 * k, rng),
+        _banded_form(k, rng),
+        BinaryForm([0] * (2 * k + 1)),
+    ]
 
 
 def test_jacobian_matches_symbolic_differentiation():
@@ -59,13 +101,11 @@ def test_k2_closed_entries():
 
 
 def test_minor_is_signed_antidiagonal_product():
-    for k in (2, 4, 6):
+    # unstable_minor is the signed antidiagonal product; Bareiss on
+    # columns 0..k-1 is the independent oracle
+    for k in (2, 4, 6, 8, 10):
         jac = jacobian_unstable_closed(k)
-        prod = Fraction(1)
-        for r in range(2, k + 2):
-            prod *= jac[r - 2, k - r + 1]
-        sign = alt_sign(k * (k - 1) // 2)  # the order-reversing permutation
-        assert unstable_minor(k) == sign * prod
+        assert unstable_minor(k) == det_exact(RingMatrix([row[:k] for row in jac.rows]))
 
 
 def test_minor_nonzero_iff_all_nkr_nonzero():
@@ -97,6 +137,59 @@ def test_certificate_with_random_point():
     assert cert == again
 
 
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
+def test_jacobian_matches_fraction_gradient_rows(k):
+    # oracle: the Fraction chain rule over RingMatrix.powers, entry by entry
+    rng = random.Random(k)
+    forms = (random_form(2 * k, rng), random_form(2 * k, rng, bound=1000), _rational_form(2 * k, rng),
+             _banded_form(k, rng), unstable_form(k))
+    for f in forms:
+        m = transvection_matrix(f, k)
+        expected = RingMatrix([_gradient_row(power, k, r) for r, power in enumerate(m.powers(k), 2)])
+        assert jacobian_matrix(f) == expected
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
+def test_modular_rank_equals_exact_rank(k):
+    # among the monomial forms x1^(2k-s) x2^s are ranks strictly between 0 and k
+    monomials = [BinaryForm([int(i == s) for i in range(2 * k + 1)]) for s in range(2 * k + 1)]
+    for f in _rank_forms(k, random.Random(100 + k)) + monomials:
+        assert jacobian_rank(f) == rank_exact(jacobian_matrix(f)), f.coeffs
+    assert sorted({jacobian_rank(f) for f in monomials})[:2] == [1, 2]
+    assert jacobian_rank(unstable_form(k)) == k
+    assert jacobian_rank(BinaryForm([0] * (2 * k + 1))) == 0
+
+
+def test_rank_mod_p_equals_exact_rank_on_low_rank_matrices():
+    rng = random.Random(2)
+    for rows, cols in ((3, 5), (6, 13), (12, 25)):
+        for inner in range(1, rows + 1):
+            left = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
+            right = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
+            prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+            exact = rank_exact(RingMatrix(prod))
+            assert independence._rank_mod([[x % RANK_PRIME for x in row] for row in prod], RANK_PRIME) == exact
+
+
+def test_rank_falls_back_to_bareiss_when_short_mod_p(monkeypatch):
+    exact_calls = []
+
+    def counted(m):
+        exact_calls.append(m.nrows)
+        return rank_exact(m)
+
+    monkeypatch.setattr(independence, "rank_exact", counted)
+    rng = random.Random(1)
+    zero = BinaryForm([0] * 9)
+    assert jacobian_rank(zero) == 0 and exact_calls == [4]  # rank 0 is never proved mod p
+    monkeypatch.setattr(independence, "RANK_PRIME", 2)
+    for k in (2, 4, 6):
+        for f in (unstable_form(k), random_form(2 * k, rng), _rational_form(2 * k, rng)):
+            before = len(exact_calls)
+            assert jacobian_rank(f) == rank_exact(jacobian_matrix(f)) == k
+            assert len(exact_calls) == before + 1
+
+
 def test_rank_at_random_octavic():
     rng = random.Random(5)
     jac = jacobian_matrix(random_form(8, rng))
@@ -106,6 +199,8 @@ def test_rank_at_random_octavic():
 def test_preconditions():
     with pytest.raises(ValueError, match="numeric forms"):
         jacobian_matrix(generic_form(4))
+    with pytest.raises(ValueError, match="numeric forms"):
+        jacobian_rank(generic_form(4))
     rng = random.Random(0)
     with pytest.raises(ValueError, match="form degree 5 is odd; need d = 2k"):
         jacobian_matrix(random_form(5, rng))

@@ -155,6 +155,19 @@ def test_parse_errors():
         parse_bracket("(a b)^4 + (b a)^4 ; deg=8")  # stray token
 
 
+@pytest.mark.parametrize("text", [
+    "(a\u03b2 b)^2 ; deg=2",  # a non-ASCII letter
+    "(\u00e9 b)^2 ; deg=2",
+    "(a b)^\u0662 ; deg=2",  # an Arabic-Indic digit
+    "(a b)^2 ; deg=\u0662",
+    "(a b)^2\u00a0(b c)^2 ; deg=4",  # a no-break space between factors
+    "(a b)^2\u3000; deg=2",  # an ideographic space before the clause
+])
+def test_parse_rejects_non_ascii(text):
+    with pytest.raises(ValueError, match="ASCII"):
+        parse_bracket(text)
+
+
 def test_parsed_invariant_matches_library_value():
     mono = parse_bracket("(a b)^4 (a c)^4 (b c)^4 ; deg=8")
     f = generic_form(8)
