@@ -18,12 +18,86 @@ from .forms import BinaryForm, generic_form, load_form, random_form
 from .invariants import covariant_hash
 from .umbral import parse_bracket, umbral_eval
 
+# -- the command table -----------------------------------------------------
+#
+# One description of the command line, read by ``build_parser`` (argparse,
+# for help and errors) and by ``fast_parse`` (exact argv only).  A command
+# path maps to (help, flags): a group has flags None and takes the
+# subcommands whose paths extend it; a leaf's flags, followed by
+# ``COMMON_FLAGS``, are (name, add_argument keywords) in help order.  A
+# subcommand's value goes to ``cmd`` at the top and to ``<group>_cmd`` below
+# it; a flag's dest is argparse's own, from its name.  A help of None adds
+# the subcommand without a help line, as argparse does when none is given.
+# Only ``type=int``, ``action="store_true"``, ``choices``, ``required`` and
+# ``default`` may appear in the keywords besides ``help``: the fast parser
+# interprets exactly those.
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="seed for any random sampling")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
+COMMON_FLAGS = (
+    ("--seed", {"type": int, "default": 0, "help": "seed for any random sampling"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json"}),
+    ("--out", {"default": None, "help": "output path (default stdout)"}),
+    ("--jobs", {"type": int, "default": 1, "help": "accepted; has no effect"}),
+)
+
+_FORM_SOURCE = (
+    ("--form", {"default": None, "help": "JSON form file"}),
+    ("--generic", {"action": "store_true"}),
+    ("--random", {"action": "store_true"}),
+)
+_DEGREE = ("--d", {"type": int, "required": True, "help": "form degree"})
+_REQUIRED_INT = {"type": int, "required": True}
+
+DESCRIPTION = (
+    "exact invariants of binary forms, combinatorial identity "
+    "suites, independence certificates, and 6j sign grids"
+)
+
+COMMANDS = {
+    ("combsum",): ("alternating binomial sums and N(k,r)", None),
+    ("combsum", "ups"): ("evaluate ups(a1,...,am)", (
+        ("--args", {"required": True, "help": "comma-separated integers"}),
+        ("--method", {"choices": ("direct", "recursive", "closed"), "default": "direct"}),
+    )),
+    ("combsum", "nkr"): ("evaluate N(k,r)", (
+        ("--k", _REQUIRED_INT),
+        ("--r", _REQUIRED_INT),
+        ("--via-ups", {"action": "store_true"}),
+    )),
+    ("invariant",): ("trace and charpoly invariants", None),
+    ("invariant", "P"): (None, (_DEGREE, ("--n", _REQUIRED_INT), ("--p", _REQUIRED_INT)) + _FORM_SOURCE),
+    ("invariant", "H"): (None, (_DEGREE, ("--n", _REQUIRED_INT)) + _FORM_SOURCE),
+    ("invariant", "shioda"): (None, (
+        _DEGREE,
+        ("--idx", {"type": int, "choices": (2, 3, 4, 5), "required": True}),
+    ) + _FORM_SOURCE),
+    ("independence",): ("Jacobian rank certificate", (
+        ("--k", _REQUIRED_INT),
+        ("--random-point", {"action": "store_true"}),
+    )),
+    ("octavic",): ("octavic identity certificates", None),
+    ("octavic", "verify"): (None, ()),
+    ("sixj",): ("6j nonvanishing sums and sign grids", None),
+    ("sixj", "value"): (None, (("--k", _REQUIRED_INT), ("--n", _REQUIRED_INT))),
+    ("sixj", "scan"): (None, (("--kmax", _REQUIRED_INT), ("--nmax", _REQUIRED_INT))),
+    ("sixj", "grid"): (None, (
+        ("--rows", {"type": int, "default": 201}),
+        ("--cols", {"type": int, "default": 201}),
+    )),
+    ("bracket",): ("evaluate bracket monomials", None),
+    ("bracket", "eval"): (None, (
+        ("--expr", {"required": True, "help": 'e.g. "(a b)^4 (b c)^4 (c a)^4 ; deg=8"'}),
+        ("--form", {"default": None}),
+        ("--generic", {"action": "store_true"}),
+    )),
+}
+
+
+def _subcommand_dest(group: tuple[str, ...]) -> str:
+    return f"{group[0]}_cmd" if group else "cmd"
+
+
+def _flag_dest(name: str) -> str:
+    return name[2:].replace("-", "_")
 
 
 def _csv_escape(v) -> str:
@@ -209,76 +283,74 @@ def _run_bracket(args: argparse.Namespace) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="binform",
-        description="exact invariants of binary forms, combinatorial identity "
-        "suites, independence certificates, and 6j sign grids",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    """The argparse tree of ``COMMANDS``: the route for help and errors."""
+    parsers = {(): argparse.ArgumentParser(prog="binform", description=DESCRIPTION)}
+    groups = {}
+    for path, (help_text, flags) in COMMANDS.items():
+        group = path[:-1]
+        if group not in groups:
+            groups[group] = parsers[group].add_subparsers(dest=_subcommand_dest(group), required=True)
+        extra = {} if help_text is None else {"help": help_text}
+        parser = parsers[path] = groups[group].add_parser(path[-1], **extra)
+        if flags is not None:
+            for name, keywords in flags + COMMON_FLAGS:
+                parser.add_argument(name, **keywords)
+    return parsers[()]
 
-    p_comb = sub.add_parser("combsum", help="alternating binomial sums and N(k,r)")
-    comb_sub = p_comb.add_subparsers(dest="combsum_cmd", required=True)
-    p_ups = comb_sub.add_parser("ups", help="evaluate ups(a1,...,am)")
-    p_ups.add_argument("--args", required=True, help="comma-separated integers")
-    p_ups.add_argument("--method", choices=("direct", "recursive", "closed"), default="direct")
-    _common_flags(p_ups)
-    p_nkr = comb_sub.add_parser("nkr", help="evaluate N(k,r)")
-    p_nkr.add_argument("--k", type=int, required=True)
-    p_nkr.add_argument("--r", type=int, required=True)
-    p_nkr.add_argument("--via-ups", dest="via_ups", action="store_true")
-    _common_flags(p_nkr)
 
-    p_inv = sub.add_parser("invariant", help="trace and charpoly invariants")
-    inv_sub = p_inv.add_subparsers(dest="invariant_cmd", required=True)
-    for name in ("P", "H", "shioda"):
-        q = inv_sub.add_parser(name)
-        q.add_argument("--d", type=int, required=True, help="form degree")
-        if name == "P":
-            q.add_argument("--n", type=int, required=True)
-            q.add_argument("--p", type=int, required=True)
-        elif name == "H":
-            q.add_argument("--n", type=int, required=True)
+def fast_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for an exact
+    argv only; None for anything else.
+
+    Exact means: the full command names, then each flag of the leaf at most
+    once, spelled in full, a valued flag as ``--flag value`` with a value
+    that does not start with "-", and every required flag given.  Values are
+    converted and checked as argparse does.  Help, ``--flag=value``,
+    abbreviations, negative numbers, repeats and every error are left to
+    argparse, which reports them.
+    """
+    values = {}
+    path = ()
+    flags = None
+    i = 0
+    while flags is None:
+        if i == len(argv) or path + (argv[i],) not in COMMANDS:
+            return None
+        values[_subcommand_dest(path)] = argv[i]
+        path += (argv[i],)
+        flags = COMMANDS[path][1]
+        i += 1
+    spec = dict(flags + COMMON_FLAGS)
+    given = {}
+    while i < len(argv):
+        name = argv[i]
+        keywords = spec.get(name)
+        if keywords is None or name in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[name] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if keywords.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[name] = value
+        i += 2
+    for name, keywords in spec.items():
+        if name in given:
+            values[_flag_dest(name)] = given[name]
+        elif keywords.get("required"):
+            return None
         else:
-            q.add_argument("--idx", type=int, choices=(2, 3, 4, 5), required=True)
-        q.add_argument("--form", default=None, help="JSON form file")
-        q.add_argument("--generic", action="store_true")
-        q.add_argument("--random", action="store_true")
-        _common_flags(q)
-
-    p_ind = sub.add_parser("independence", help="Jacobian rank certificate")
-    p_ind.add_argument("--k", type=int, required=True)
-    p_ind.add_argument("--random-point", dest="random_point", action="store_true")
-    _common_flags(p_ind)
-
-    p_oct = sub.add_parser("octavic", help="octavic identity certificates")
-    oct_sub = p_oct.add_subparsers(dest="octavic_cmd", required=True)
-    p_ver = oct_sub.add_parser("verify")
-    _common_flags(p_ver)
-
-    p_sixj = sub.add_parser("sixj", help="6j nonvanishing sums and sign grids")
-    sixj_sub = p_sixj.add_subparsers(dest="sixj_cmd", required=True)
-    p_val = sixj_sub.add_parser("value")
-    p_val.add_argument("--k", type=int, required=True)
-    p_val.add_argument("--n", type=int, required=True)
-    _common_flags(p_val)
-    p_scan = sixj_sub.add_parser("scan")
-    p_scan.add_argument("--kmax", type=int, required=True)
-    p_scan.add_argument("--nmax", type=int, required=True)
-    _common_flags(p_scan)
-    p_grid = sixj_sub.add_parser("grid")
-    p_grid.add_argument("--rows", type=int, default=201)
-    p_grid.add_argument("--cols", type=int, default=201)
-    _common_flags(p_grid)
-
-    p_br = sub.add_parser("bracket", help="evaluate bracket monomials")
-    br_sub = p_br.add_subparsers(dest="bracket_cmd", required=True)
-    p_ev = br_sub.add_parser("eval")
-    p_ev.add_argument("--expr", required=True, help='e.g. "(a b)^4 (b c)^4 (c a)^4 ; deg=8"')
-    p_ev.add_argument("--form", default=None)
-    p_ev.add_argument("--generic", action="store_true")
-    _common_flags(p_ev)
-
-    return parser
+            values[_flag_dest(name)] = False if keywords.get("action") == "store_true" else keywords.get("default")
+    return argparse.Namespace(**values)
 
 
 _HANDLERS = {
@@ -292,8 +364,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = fast_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")

@@ -337,17 +337,6 @@ class RingMatrix:
 
     __matmul__ = mul
 
-    def pow(self, p: int) -> "RingMatrix":
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        if p < 0:
-            raise ValueError("negative matrix power")
-        if p == 0:
-            return RingMatrix.identity(self.nrows)
-        for out in self.powers(p):
-            pass
-        return out
-
     def powers(self, p: int):
         """Yield M, M^2, ..., M^p; each step is one product, made when asked for."""
         power = self

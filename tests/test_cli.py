@@ -1,10 +1,18 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from binform import sixj
-from binform.cli import main
+from binform import cli, sixj
+from binform.cli import COMMANDS, COMMON_FLAGS, build_parser, fast_parse, main
 from binform.forms import generic_form, save_form, unstable_form
 from binform.invariants import shioda_invariant, trace_invariant
 from binform.sixj import grid_to_ppm, sign_grid
@@ -305,3 +313,179 @@ def test_non_ascii_bracket_letter_exits_2(capsys, fmt):
                          "--format", fmt)
     assert code == 2 and out == ""
     assert err.startswith("binform: error: bracket expressions are ASCII only") and err.isascii()
+
+
+# -- the command table: fast parse, argparse route, help text --------------
+
+ROOT = Path(__file__).resolve().parents[1]
+LEAVES = [path for path, (_, flags) in COMMANDS.items() if flags is not None]
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``binform ...`` line of README.md as an argv; a ``[--flag]``
+    gives the command without and with the flag."""
+    argvs = []
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("binform "):
+            tokens = shlex.split(line, comments=True)[1:]
+            base = [t for t in tokens if not t.startswith("[")]
+            argvs.append(base)
+            optional = [t.strip("[]") for t in tokens if t.startswith("[")]
+            if optional:
+                argvs.append(base + optional)
+    return argvs
+
+
+def _good_values(keywords: dict) -> list[str]:
+    if "choices" in keywords:
+        return [str(c) for c in keywords["choices"]]
+    if keywords.get("type") is int:
+        return ["0", "3", "8", "+2", " 4"]
+    return ["f.json", "1,2", "(a b)^2 ; deg=2", ""]
+
+
+def full_leaf_argv(path: tuple[str, ...]) -> list[str]:
+    """A valid argv for ``path`` that gives every flag of the leaf."""
+    argv = list(path)
+    for name, keywords in COMMANDS[path][1] + COMMON_FLAGS:
+        argv.append(name)
+        if keywords.get("action") != "store_true":
+            argv.append(_good_values(keywords)[1])
+    return argv
+
+
+def argparse_result(argv: list[str]):
+    """``build_parser().parse_args(argv)``, or the SystemExit code it raised."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def assert_fast_parse_agrees(argv: list[str]) -> argparse.Namespace | None:
+    fast = fast_parse(list(argv))
+    slow = argparse_result(list(argv))
+    if not isinstance(slow, argparse.Namespace):
+        assert fast is None, (argv, slow)
+    elif fast is not None:
+        assert fast == slow, argv
+    return fast
+
+
+def test_readme_shows_every_command():
+    commands = readme_commands()
+    assert all(any(argv[:len(path)] == list(path) for argv in commands) for path in LEAVES)
+
+
+@pytest.mark.parametrize("argv", readme_commands() + [full_leaf_argv(p) for p in LEAVES], ids=shlex.join)
+def test_fast_parse_accepts_readme_and_full_leaf_argv_as_argparse_does(argv):
+    assert assert_fast_parse_agrees(argv) is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["independence", "--k=3"],
+    ["independence", "--k", "3", "-h"],
+    ["invariant", "P", "--d", "4", "--n", "2", "--p", "2", "--rand"],
+    ["independence", "--k", "-3"],
+    ["independence", "--", "--k", "3"],
+    ["independence", "--k", "3", "--k", "4"],
+    ["independence", "--random-point", "--random-point", "--k", "3"],
+    ["independence", "--k"],
+    ["independence", "--random-point"],
+    ["sixj", "value", "--k", "2", "--n", "3", "--format", "xml"],
+    ["invariant", "shioda", "--idx", "7", "--d", "8", "--generic"],
+    ["independence", "--k", "three"],
+    ["independence", "--k", "3", "extra"],
+    ["inv", "P", "--d", "4", "--n", "2", "--p", "2", "--generic"],
+    ["invariant"],
+    [],
+], ids=shlex.join)
+def test_fast_parse_leaves_the_rest_to_argparse(argv):
+    assert assert_fast_parse_agrees(argv) is None
+
+
+_JUNK = ["--k=3", "-h", "--help", "--rand", "-3", "--", "-", "--bogus", "x", "1.5", "", "xml",
+         "bogus", "--ra", "--random-p"]
+_TOKENS = sorted({t for path in COMMANDS for t in path}
+                 | {name for _, flags in COMMANDS.values() for name, _ in (flags or ())}
+                 | {name for name, _ in COMMON_FLAGS} | set(_JUNK))
+
+
+@st.composite
+def near_valid_argv(draw):
+    """A valid argv for a random leaf (every required flag, some optional
+    ones, in any order), then up to two junk edits: a token inserted,
+    replaced or deleted."""
+    path = draw(st.sampled_from(LEAVES))
+    argv = list(path)
+    for name, keywords in draw(st.permutations(COMMANDS[path][1] + COMMON_FLAGS)):
+        if keywords.get("required") or draw(st.booleans()):
+            argv.append(name)
+            if keywords.get("action") != "store_true":
+                argv.append(draw(st.sampled_from(_good_values(keywords))))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        token = draw(st.sampled_from(_TOKENS))
+        if edit == "insert":
+            argv.insert(i, token)
+        elif edit == "replace":
+            argv[i] = token
+        else:
+            del argv[i]
+    return argv
+
+
+@settings(max_examples=400)
+@given(st.one_of(near_valid_argv(), st.lists(st.sampled_from(_TOKENS), max_size=8)))
+def test_fast_parse_never_disagrees_with_argparse(argv):
+    assert_fast_parse_agrees(argv)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_help.json").read_text(encoding="ascii"))
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != GOLDEN["python"],
+    reason="argparse lays out help differently across Python versions; "
+    "the golden text was captured on Python " + GOLDEN["python"],
+)
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: shlex.join(c["argv"]) or "no-args")
+def test_help_and_argparse_errors_are_byte_identical(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def _count_parsers(monkeypatch) -> list:
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return made
+
+
+@pytest.mark.parametrize("argv", readme_commands() + [full_leaf_argv(p) for p in LEAVES], ids=shlex.join)
+def test_valid_commands_build_no_argparse_parser(argv, monkeypatch):
+    made = _count_parsers(monkeypatch)
+    handled = []
+    for cmd in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, cmd, handled.append)
+    assert main(argv) == 0
+    assert made == [] and handled[0].cmd == argv[0]
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["independence", "--k", "6", "--bogus"], 2)])
+def test_help_and_bad_flags_take_the_argparse_route(argv, code, monkeypatch, capsys):
+    made = _count_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert len(made) >= 1
