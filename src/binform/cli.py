@@ -1,8 +1,9 @@
 """Command-line surface.  Every subcommand validates its flags, exits
 nonzero with a diagnostic on a precondition failure, and writes exactly one
-machine-readable report.  All scalars are serialized as decimal strings
-("p/q" for rationals); no binary floats appear anywhere, and identical
-inputs with the same seed produce byte-identical output.
+machine-readable report, to which ``main`` adds the ``--seed`` value.  All
+scalars are serialized as decimal strings ("p/q" for rationals); no binary
+floats appear anywhere, and identical inputs with the same seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -143,19 +144,31 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"bad integer list {text!r}") from exc
 
 
-def _resolve_form(args: argparse.Namespace, d: int) -> tuple[BinaryForm, str]:
-    """Pick the form source; exactly one of --form/--generic/--random."""
-    picked = [name for name in ("form", "generic", "random") if getattr(args, name, None)]
+_SOURCE_FLAGS = {"form": "--form FILE", "generic": "--generic", "random": "--random"}
+
+
+def _form_source(args: argparse.Namespace) -> str:
+    """The report's label ("file", "generic" or "random") of the one form
+    source given; a ValueError unless exactly one of the command's source
+    flags is given."""
+    offered = [name for name in _SOURCE_FLAGS if hasattr(args, name)]
+    picked = [name for name in offered if getattr(args, name)]
     if len(picked) != 1:
-        raise ValueError("choose exactly one of --form FILE, --generic, --random")
-    if args.form:
+        raise ValueError("choose exactly one of " + ", ".join(_SOURCE_FLAGS[name] for name in offered))
+    return "file" if picked[0] == "form" else picked[0]
+
+
+def _resolve_form(args: argparse.Namespace, d: int) -> tuple[BinaryForm, str]:
+    """The form of degree d from the one source given, and its label."""
+    source = _form_source(args)
+    if source == "file":
         f = load_form(args.form)
         if f.degree != d:
             raise ValueError(f"form file has degree {f.degree}, expected {d}")
-        return f, "file"
-    if args.generic:
-        return generic_form(d), "generic"
-    return random_form(d, random.Random(args.seed)), "random"
+        return f, source
+    if source == "generic":
+        return generic_form(d), source
+    return random_form(d, random.Random(args.seed)), source
 
 
 def _form_report(form: BinaryForm) -> list[str]:
@@ -169,7 +182,7 @@ def _run_combsum(args: argparse.Namespace) -> dict:
         values = _parse_int_list(args.args)
         if not values:
             raise ValueError("--args needs at least one integer")
-        report = {"args": values, "method": args.method, "seed": args.seed}
+        report = {"args": values, "method": args.method}
         if args.method == "direct":
             report["value"] = str(combsum.ups_direct(values))
         elif args.method == "recursive":
@@ -189,12 +202,12 @@ def _run_combsum(args: argparse.Namespace) -> dict:
     else:
         value = combsum.nkr(args.k, args.r)
         route = "direct"
-    return {"k": args.k, "r": args.r, "value": str(value), "route": route, "seed": args.seed}
+    return {"k": args.k, "r": args.r, "value": str(value), "route": route}
 
 
 def _run_invariant(args: argparse.Namespace) -> dict:
     form, source = _resolve_form(args, args.d)
-    report = {"d": args.d, "source": source, "seed": args.seed}
+    report = {"d": args.d, "source": source}
     if source != "generic":
         report["coeffs"] = _form_report(form)
     if args.invariant_cmd == "P":
@@ -210,33 +223,22 @@ def _run_invariant(args: argparse.Namespace) -> dict:
 
 
 def _run_independence(args: argparse.Namespace) -> dict:
-    report = independence.independence_certificate(
+    return independence.independence_certificate(
         args.k, include_random_point=args.random_point, seed=args.seed
     )
-    report["seed"] = args.seed
-    return report
 
 
 def _run_octavic(args: argparse.Namespace) -> dict:
     checks = invariants.octavic_identity_report()
-    return {
-        "identities": checks,
-        "pass": all(c["pass"] for c in checks),
-        "seed": args.seed,
-    }
+    return {"identities": checks, "pass": all(c["pass"] for c in checks)}
 
 
 def _run_sixj(args: argparse.Namespace) -> dict | None:
     if args.sixj_cmd == "value":
-        return {"k": args.k, "n": args.n, "S": str(sixj.sixj_sum(args.k, args.n)), "seed": args.seed}
+        return {"k": args.k, "n": args.n, "S": str(sixj.sixj_sum(args.k, args.n))}
     if args.sixj_cmd == "scan":
         zeros = sixj.scan_zeros(args.kmax, args.nmax)
-        return {
-            "kmax": args.kmax,
-            "nmax": args.nmax,
-            "zeros": [[k, n] for k, n in zeros],
-            "seed": args.seed,
-        }
+        return {"kmax": args.kmax, "nmax": args.nmax, "zeros": [[k, n] for k, n in zeros]}
     # grid: the written file is the report; its name is checked before any cell is computed
     if not args.out:
         raise ValueError("sixj grid requires --out FILE.ppm or FILE.csv")
@@ -253,14 +255,8 @@ def _run_sixj(args: argparse.Namespace) -> dict | None:
 
 
 def _run_bracket(args: argparse.Namespace) -> dict:
-    if args.form:
-        form = load_form(args.form)
-        source = "file"
-    elif args.generic:
-        form = None
-        source = "generic"
-    else:
-        raise ValueError("choose one of --form FILE or --generic")
+    source = _form_source(args)
+    form = load_form(args.form) if source == "file" else None
     mono = parse_bracket(args.expr, default_degree=form.degree if form else None)
     degrees = {mono.degrees[u] for u in mono.letters}
     if len(degrees) != 1:
@@ -278,7 +274,6 @@ def _run_bracket(args: argparse.Namespace) -> dict:
         "coeffs": [str(c) for c in value.coeffs],
         "sha256": covariant_hash(value),
         "source": source,
-        "seed": args.seed,
     }
 
 
@@ -373,6 +368,7 @@ def main(argv=None) -> int:
             raise ValueError("--jobs must be >= 1")
         report = _HANDLERS[args.cmd](args)
         if report is not None:
+            report["seed"] = args.seed
             _emit(report, args)
     except (ValueError, ArithmeticError, OSError, KeyError, TypeError) as exc:
         print(f"binform: error: {exc}", file=sys.stderr)

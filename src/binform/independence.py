@@ -13,9 +13,11 @@ row r of the Jacobian is a nonzero rational multiple of the integer row
 
     N_r[s] = sum_{j-i+k=s} (A^(r-1))_ij W_ij,
 
-and one running integer power of A serves every row.  The exact route
-builds one Fraction per entry of the final matrix; the rank route runs
-the same loop mod a prime (see ``jacobian_rank``).
+and one running integer power of A serves every row.  Its products are
+``polyring._times``, the package's one integer matrix product, and the
+form is cleared to F / D_f by ``polyring._cleared_int_rows``.  The exact
+route builds one Fraction per entry of the final matrix; the rank route
+runs the same loop mod a prime (see ``jacobian_rank``).
 
 Specializing at the nullcone form x1^(k-1) x2^(k+1) collapses each row
 to a single entry with an explicit closed form in N(k, r); the k x k minor
@@ -28,14 +30,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from operator import add, mul
 
 from .combsum import nkr
 from .exactnum import alt_sign, binom_ext
 from .forms import BinaryForm, random_form, unstable_form
 from .invariants import _check_fk
-from .polyring import RingMatrix, rank_exact
+from .polyring import RingMatrix, _cleared_int_rows, _times, rank_exact
 
 # The prime of the modular rank proof: the largest below 2^30, so that a
 # residue fits one 30-bit digit of a Python int and products stay small.
@@ -57,24 +59,6 @@ def _weights(k: int) -> tuple[list[list[int]], int]:
     return w, e
 
 
-def _times(power: list[list[int]], a: list[list[int]], cols: list[tuple[int, ...]]) -> list[list[int]]:
-    """The integer product power @ a, given a's columns too.  A row with
-    few nonzero entries (the witness's powers have one per row) combines
-    the rows of a it selects; a denser row takes dot products with the
-    columns."""
-    out = []
-    for row in power:
-        picked = [(x, a[j]) for j, x in enumerate(row) if x]
-        if 2 * len(picked) < len(row):
-            acc = [0] * len(cols)
-            for x, arow in picked:
-                acc = list(map(add, acc, map(mul, arow, repeat(x))))
-            out.append(acc)
-        else:
-            out.append([sum(map(mul, row, col)) for col in cols])
-    return out
-
-
 def _gradient_rows(form: BinaryForm, modulus: int | None = None):
     """Yield (scale, row) for r = 2..k+1: the gradient of tr(M^r) at the
     numeric form is scale * row, for an integer row.
@@ -92,8 +76,7 @@ def _gradient_rows(form: BinaryForm, modulus: int | None = None):
         raise ValueError("the Jacobian is evaluated at numeric forms")
     k = _check_fk(form, form.degree // 2)
     w, e = _weights(k)
-    fden = math.lcm(*(c.denominator for c in form.coeffs))
-    f = [c.numerator * (fden // c.denominator) for c in form.coeffs]
+    (f,), (fden,) = _cleared_int_rows([form.coeffs])
     a = [[f[i - j + k] * w[j][i] for j in range(k + 1)] for i in range(k + 1)]
     d = fden * e  # M = A / d
     if modulus is not None:

@@ -85,18 +85,19 @@ def trace_invariant(form: BinaryForm, n: int, p: int):
     return sum((power[i, j] * half[j, i] for i in size for j in size if power[i, j] and half[j, i]), zero)
 
 
-def charpoly_invariants(form: BinaryForm, n: int) -> list[Fraction]:
+def charpoly_invariants(form: BinaryForm, n: int) -> list:
     """Coefficients of det(lambda*Id - M) from lambda^0 up (monic).
 
-    Numeric forms only; the entry of coefficient degree p sits at index
-    n + 1 - p (see charpoly_invariant).
+    The entry of coefficient degree p sits at index n + 1 - p (see
+    charpoly_invariant).  The same Newton recurrence serves numeric and
+    symbolic forms: the coefficients are Fractions for a numeric form and
+    MultiPolys in f0..fd for a symbolic one, apart from the leading
+    Fraction 1.
     """
-    if not form.is_numeric():
-        raise ValueError("characteristic polynomial is computed for numeric forms only")
     return charpoly(transvection_matrix(form, n))
 
 
-def charpoly_invariant(form: BinaryForm, n: int, p: int) -> Fraction:
+def charpoly_invariant(form: BinaryForm, n: int, p: int):
     """The degree-p invariant among the characteristic coefficients, i.e.
     the coefficient of lambda^(n+1-p).  Vanishes identically for p = 1
     (binary forms have no linear invariant); equals 1 for p = 0."""

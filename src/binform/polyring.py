@@ -25,11 +25,15 @@ field.  ``terms`` builds the exponent-tuple -> Fraction view on demand.
 RingMatrix is a dense 2-D array whose entries are Fractions or MultiPolys
 over one shared variable list.  The product of two rational matrices runs
 over Z: the left operand's rows and the right operand's columns are
-scaled by the lcm of their denominators, each entry is an integer dot
-product over the nonzero entries of its row, and one Fraction per entry
-undoes the scaling.  Matrices with MultiPoly entries are multiplied entry
-by entry.  The characteristic polynomial is computed
-over Q via the trace-power recurrence (divisions by integers are exact).
+scaled by the lcm of their denominators, the integer product ``_times``
+is taken, and one Fraction per entry undoes the scaling.  ``_times`` is
+the one integer matrix product of the package (the Jacobian's running
+power uses it too): a row with few nonzero entries combines the rows of
+the right operand it selects, a denser row takes dot products with the
+columns.  Matrices with MultiPoly entries are multiplied entry by entry.
+The characteristic polynomial comes from the trace-power (Newton)
+recurrence, whose divisions are by integers, so one loop serves
+rational and MultiPoly entries alike.
 Determinant and rank share one fraction-free (Bareiss) elimination on the
 integer matrix obtained by clearing row denominators, so intermediate
 entries never grow fractions; the determinant is 0 when the rank falls
@@ -40,6 +44,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .exactnum import alt_sign
 
@@ -354,17 +360,19 @@ class RingMatrix:
         return f"RingMatrix({self.nrows}x{self.ncols})"
 
 
-def charpoly(m: RingMatrix) -> list[Fraction]:
+def charpoly(m: RingMatrix) -> list:
     """Coefficients of det(lambda*Id - M), listed from lambda^0 up, monic.
 
     Computed from the traces of matrix powers by the Newton recurrence
-    i*e_i = sum_{j=1..i} (-1)^(j-1) e_{i-j} tr(M^j); requires rational
-    entries (all divisions are by integers, hence exact over Q).
+    i*e_i = sum_{j=1..i} (-1)^(j-1) e_{i-j} tr(M^j).  Every division is by
+    an integer, so the recurrence is exact over Q and over Q[f0..fd]:
+    entries may be ints, Fractions or MultiPolys, and anything else (a
+    float, say) raises TypeError.  The leading 1 is a Fraction.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    if not _rational_entries(m):
-        raise TypeError("charpoly requires rational entries")
+    if not all(isinstance(c, (int, Fraction, MultiPoly)) for row in m.rows for c in row):
+        raise TypeError("charpoly requires rational or MultiPoly entries")
     n = m.nrows
     traces = [power.trace() for power in m.powers(n)]
     e = [Fraction(1)]
@@ -397,24 +405,36 @@ def _cleared_int_rows(rows):
     return out, mults
 
 
+def _times(a: list[list[int]], b: list[list[int]], b_cols) -> list[list[int]]:
+    """The integer product a @ b, given b's columns too.  A row of a with
+    few nonzero entries (the Jacobian witness's powers have one per row)
+    combines the rows of b it selects; a denser row takes dot products
+    with the columns."""
+    out = []
+    for row in a:
+        picked = [(x, b[j]) for j, x in enumerate(row) if x]
+        if 2 * len(picked) < len(row):
+            acc = [0] * len(b_cols)
+            for x, brow in picked:
+                acc = list(map(add, acc, map(mul, brow, repeat(x))))
+            out.append(acc)
+        else:
+            out.append([sum(map(mul, row, col)) for col in b_cols])
+    return out
+
+
 def _cleared_product(a_rows, b_rows):
     """Entries of the rational product a @ b, computed over Z.
 
     Row i of a is scaled to integers by its denominator lcm d_i, column j
-    of b likewise by e_j, so (a @ b)_ij = (integer dot product) / (d_i e_j).
+    of b likewise by e_j, and (a @ b)_ij = (A @ B)_ij / (d_i e_j) for the
+    cleared integer matrices A and B, whose product ``_times`` takes.
     """
     a, row_dens = _cleared_int_rows(a_rows)
     bt, col_dens = _cleared_int_rows(zip(*b_rows))
     zero = Fraction(0)
-    out = []
-    for row, d in zip(a, row_dens):
-        nonzero = [(j, c) for j, c in enumerate(row) if c]
-        out_row = []
-        for col, e in zip(bt, col_dens):
-            s = sum(c * col[j] for j, c in nonzero)
-            out_row.append(Fraction(s, d * e) if s else zero)
-        out.append(out_row)
-    return out
+    return [[Fraction(s, d * e) if s else zero for s, e in zip(row, col_dens)]
+            for row, d in zip(_times(a, list(zip(*bt)), bt), row_dens)]
 
 
 def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:

@@ -243,20 +243,26 @@ def parse_bracket(text: str, default_degree: int | None = None) -> BracketMonomi
 
 # -- the degree-3 covariant families of the octavic ------------------------
 
+def _octavic_bracket(lam: tuple[int, int, int], total: int, shift: int) -> BracketMonomial:
+    """(a b)^(l3+shift) (a c)^(l2+shift) (b c)^(l1+shift) a_x^l1 b_x^l2 c_x^l3
+    over three octavic letters, for lam a partition of ``total``."""
+    l1, l2, l3 = lam
+    if sorted(lam, reverse=True) != list(lam) or sum(lam) != total or min(lam) < 0:
+        raise ValueError(f"{lam} is not a partition of {total}")
+    return BracketMonomial(
+        letters=("a", "b", "c"),
+        degrees={"a": 8, "b": 8, "c": 8},
+        edges={("a", "b"): l3 + shift, ("a", "c"): l2 + shift, ("b", "c"): l1 + shift},
+        x_powers={"a": l1, "b": l2, "c": l3},
+    )
+
+
 def octavic_a_bracket(lam: tuple[int, int, int]) -> BracketMonomial:
     """Degree-3, order-4 covariant of the octavic indexed by a partition of 4:
 
         A_lam = (a b)^(l3+2) (a c)^(l2+2) (b c)^(l1+2) a_x^l1 b_x^l2 c_x^l3
     """
-    l1, l2, l3 = lam
-    if sorted(lam, reverse=True) != list(lam) or sum(lam) != 4 or min(lam) < 0:
-        raise ValueError(f"{lam} is not a partition of 4")
-    return BracketMonomial(
-        letters=("a", "b", "c"),
-        degrees={"a": 8, "b": 8, "c": 8},
-        edges={("a", "b"): l3 + 2, ("a", "c"): l2 + 2, ("b", "c"): l1 + 2},
-        x_powers={"a": l1, "b": l2, "c": l3},
-    )
+    return _octavic_bracket(lam, 4, 2)
 
 
 def octavic_b_bracket(lam: tuple[int, int, int]) -> BracketMonomial:
@@ -264,12 +270,4 @@ def octavic_b_bracket(lam: tuple[int, int, int]) -> BracketMonomial:
 
         B_lam = (a b)^l3 (a c)^l2 (b c)^l1 a_x^l1 b_x^l2 c_x^l3
     """
-    l1, l2, l3 = lam
-    if sorted(lam, reverse=True) != list(lam) or sum(lam) != 8 or min(lam) < 0:
-        raise ValueError(f"{lam} is not a partition of 8")
-    return BracketMonomial(
-        letters=("a", "b", "c"),
-        degrees={"a": 8, "b": 8, "c": 8},
-        edges={("a", "b"): l3, ("a", "c"): l2, ("b", "c"): l1},
-        x_powers={"a": l1, "b": l2, "c": l3},
-    )
+    return _octavic_bracket(lam, 8, 0)

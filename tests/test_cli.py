@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from binform import cli, sixj
 from binform.cli import COMMANDS, COMMON_FLAGS, build_parser, fast_parse, main
-from binform.forms import generic_form, save_form, unstable_form
-from binform.invariants import shioda_invariant, trace_invariant
+from binform.forms import BinaryForm, generic_form, save_form, unstable_form
+from binform.invariants import charpoly_invariants, shioda_invariant, trace_invariant
 from binform.sixj import grid_to_ppm, sign_grid
 
 
@@ -80,6 +80,13 @@ def test_invariant_h(tmp_path, capsys):
     save_form(unstable_form(2), path)
     rep = run_json(capsys, "invariant", "H", "--d", "4", "--n", "2", "--form", str(path))
     assert rep["charpoly"] == ["0", "0", "0", "1"]
+
+
+def test_invariant_h_generic(capsys):
+    rep = run_json(capsys, "invariant", "H", "--d", "4", "--n", "2", "--generic")
+    assert rep["charpoly"] == [str(c) for c in charpoly_invariants(generic_form(4), 2)]
+    assert rep["charpoly"][1] == "-1*f0*f4 + 1/4*f1*f3 + -1/12*f2^2"
+    assert rep["charpoly"][2:] == ["0", "1"]
 
 
 def test_invariant_shioda_generic(capsys):
@@ -170,6 +177,20 @@ def test_bracket_eval_from_file(tmp_path, capsys):
     assert code == 2 and "degree" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bracket", "eval", "--expr", "(a b)^2 ; deg=2", "--form", "q.json", "--generic"),
+    ("bracket", "eval", "--expr", "(a b)^2 ; deg=2"),
+    ("invariant", "P", "--d", "2", "--n", "1", "--p", "2", "--form", "q.json", "--generic"),
+    ("invariant", "P", "--d", "2", "--n", "1", "--p", "2", "--generic", "--random"),
+], ids=("bracket-both", "bracket-none", "invariant-both", "invariant-generic-random"))
+def test_exactly_one_form_source(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    save_form(BinaryForm([1, 0, 1]), tmp_path / "q.json")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "binform: error: choose exactly one of --form FILE, --generic" in err
+
+
 # stdout sha256 of symbolic reports, as recorded for these commands in
 # perfbench/expected.json
 SYMBOLIC_REPORTS = [
@@ -257,6 +278,25 @@ def test_reports_echo_seed_and_are_byte_stable(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["seed"] == 9
+
+
+@pytest.mark.parametrize("argv", [
+    ("combsum", "ups", "--args", "2,3"),
+    ("combsum", "nkr", "--k", "4", "--r", "3"),
+    ("invariant", "P", "--d", "4", "--n", "2", "--p", "2", "--random"),
+    ("invariant", "H", "--d", "4", "--n", "2", "--generic"),
+    ("invariant", "shioda", "--d", "8", "--idx", "2", "--random"),
+    ("independence", "--k", "2", "--random-point"),
+    ("octavic", "verify"),
+    ("sixj", "value", "--k", "2", "--n", "3"),
+    ("sixj", "scan", "--kmax", "3", "--nmax", "4"),
+    ("bracket", "eval", "--expr", "(a b)^2 ; deg=2", "--generic"),
+], ids=("ups", "nkr", "invariant-P", "invariant-H", "shioda", "independence", "octavic", "sixj-value",
+        "sixj-scan", "bracket"))
+def test_every_report_echoes_the_seed(capsys, argv):
+    assert run_json(capsys, *argv, "--seed", "7")["seed"] == 7
+    _, out, _ = run(capsys, *argv, "--seed", "7", "--format", "csv")
+    assert "\nseed,7\n" in out
 
 
 def test_csv_format(capsys):

@@ -140,9 +140,45 @@ def test_charpoly_invariants():
         assert i * e[i] == sum(alt_sign(j - 1) * e[i - j] * traces[j - 1] for j in range(1, i + 1))
 
 
-def test_charpoly_needs_numeric_form():
-    with pytest.raises(ValueError):
-        charpoly_invariants(generic_form(4), 2)
+def test_generic_quartic_charpoly_is_classical_i_and_j():
+    # F = a x^4 + b x^3 y + c x^2 y^2 + d x y^3 + e y^4 with the classical
+    # I = 12ae - 3bd + c^2 and J = 72ace + 9bcd - 27ad^2 - 27eb^2 - 2c^3:
+    # det(lambda - M) = lambda^3 - (I/12) lambda - J/216 at n = 2
+    a, b, c, d, e = generic_form(4).coeffs
+    i = 12 * a * e - 3 * b * d + c * c
+    j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c * c * c
+    assert charpoly_invariants(generic_form(4), 2) == [-j / 216, -i / 12, 0, 1]
+
+
+@pytest.mark.parametrize("d,n", [(4, 2), (4, 3), (4, 4), (8, 4), (8, 5)])
+def test_generic_charpoly_specialises_to_numeric(d, n):
+    symbolic = charpoly_invariants(generic_form(d), n)
+    rng = random.Random(100 * d + n)
+    for _ in range(3):
+        f = random_form(d, rng)
+        at_f = [c.evaluate(f.coeffs) if isinstance(c, MultiPoly) else c for c in symbolic]
+        assert at_f == charpoly_invariants(f, n)
+
+
+def test_generic_octavic_charpoly_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    f = generic_form(8)
+    names = f.coeffs[0].vars
+    syms = sympy.symbols(names)
+
+    def to_sympy(x):
+        if not isinstance(x, MultiPoly):
+            return sympy.Rational(x.numerator, x.denominator)
+        return sum((sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s ** e for s, e in zip(syms, exp)))
+                    for exp, c in x.terms.items()), sympy.Integer(0))
+
+    m = transvection_matrix(f, 4)
+    lam = sympy.Symbol("lam")
+    oracle = sympy.Matrix([[to_sympy(x) for x in row] for row in m.rows]).charpoly(lam)
+    want = [sympy.expand(c) for c in reversed(oracle.all_coeffs())]
+    got = charpoly_invariants(f, 4)
+    assert len(got) == len(want) == 6
+    assert all(sympy.expand(to_sympy(g) - w) == 0 for g, w in zip(got, want))
 
 
 def test_quartic_identities_symbolic():

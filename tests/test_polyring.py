@@ -389,8 +389,12 @@ def test_rational_product_against_fraction_oracle():
         if any(not prod[i, j] and any(a[i, t] and b[t, j] for t in range(a.ncols))
                for i in range(prod.nrows) for j in range(prod.ncols)):
             seen.add("cancellation")
+        # the integer product combines rows of b for a row of a with fewer
+        # nonzero entries than half its length, and takes dot products otherwise
+        for row in a.rows:
+            seen.add("sparse row" if 2 * sum(1 for c in row if c) < len(row) else "dense row")
     assert seen == {"1x1", "rectangular", "int only", "zero row and column", "all zero",
-                    "large denominators", "cancellation"}
+                    "large denominators", "cancellation", "sparse row", "dense row"}
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8])
@@ -420,6 +424,19 @@ def test_charpoly_examples():
     rng = random.Random(1)
     low = [[Fraction(rng.randint(-3, 3)) if i > j else Fraction(0) for j in range(4)] for i in range(4)]
     assert charpoly(RingMatrix(low)) == [0, 0, 0, 0, 1]
+
+
+def test_charpoly_of_a_multipoly_matrix():
+    a, b, c, d = (MultiPoly.variable(("a", "b", "c", "d"), i) for i in range(4))
+    assert charpoly(RingMatrix([[a, b], [c, d]])) == [a * d - b * c, -(a + d), 1]
+    assert charpoly(RingMatrix([[a, 0], [Fraction(1, 2), a]])) == [a * a, -2 * a, 1]
+
+
+def test_charpoly_refuses_float_entries():
+    with pytest.raises(TypeError):
+        charpoly(RingMatrix([[1.5, 0], [0, 1]]))
+    with pytest.raises(TypeError):
+        charpoly(RingMatrix([[_var(0), 0.5], [0, 1]]))
 
 
 def _random_matrix(rng, n, m=None):
