@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .exactnum import fact_product
 from .forms import BinaryForm, generic_form
-from .polyring import MultiPoly, RingMatrix, charpoly
+from .polyring import MultiPoly, RingMatrix, charpoly, trace_product
 from .transvect import t_coeff, transvectant
 from .umbral import octavic_a_bracket, octavic_b_bracket, umbral_eval
 
@@ -75,14 +75,11 @@ def trace_invariant(form: BinaryForm, n: int, p: int):
     for e, power in enumerate(m.powers(a), 1):
         if e == b:
             half = power
-    if form.is_numeric():
-        zero = Fraction(0)
-    else:
-        zero = MultiPoly.zero(next(c.vars for c in form.coeffs if isinstance(c, MultiPoly)))
-    size = range(n + 1)
+    variables = None if form.is_numeric() else next(c.vars for c in form.coeffs if isinstance(c, MultiPoly))
     if b == 0:
-        return sum((power[i, i] for i in size), zero)
-    return sum((power[i, j] * half[j, i] for i in size for j in size if power[i, j] and half[j, i]), zero)
+        zero = Fraction(0) if variables is None else MultiPoly.zero(variables)
+        return sum((power[i, i] for i in range(n + 1)), zero)
+    return trace_product(power, half, variables)
 
 
 def charpoly_invariants(form: BinaryForm, n: int) -> list:

@@ -22,6 +22,15 @@ total degree does: a constructor term or a product whose total degree
 would reach 2^W raises OverflowError instead of carrying into the next
 field.  ``terms`` builds the exponent-tuple -> Fraction view on demand.
 
+Sums of products are fused (Monagan & Pearce, CASC 2007): ``_dot`` takes
+sum a*b over many pairs into one dict of int numerators over the lcm of
+the pairs' denominators and takes the content out once, at the end, so no
+MultiPoly is built per product and no accumulator is copied per term.
+Its multiply-add ``_mac`` takes a scalar or one-term factor in one loop
+over the other factor and keeps the double loop for two many-term
+factors.  MultiPoly * is the one-pair sum; a polynomial matrix product
+is one sum per entry, and so is the trace pairing ``trace_product``.
+
 RingMatrix is a dense 2-D array whose entries are Fractions or MultiPolys
 over one shared variable list.  The product of two rational matrices runs
 over Z: the left operand's rows and the right operand's columns are
@@ -30,10 +39,12 @@ is taken, and one Fraction per entry undoes the scaling.  ``_times`` is
 the one integer matrix product of the package (the Jacobian's running
 power uses it too): a row with few nonzero entries combines the rows of
 the right operand it selects, a denser row takes dot products with the
-columns.  Matrices with MultiPoly entries are multiplied entry by entry.
-The characteristic polynomial comes from the trace-power (Newton)
-recurrence, whose divisions are by integers, so one loop serves
-rational and MultiPoly entries alike.
+columns.  A matrix keeps its columns as it was last prepared as a right
+factor (cleared to integers, or lifted to MultiPolys), so a running power
+prepares M once.  The characteristic polynomial comes from the
+trace-power (Newton) recurrence, whose divisions are by integers, so one
+loop serves rational and MultiPoly entries alike; its traces pair
+M, ..., M^ceil(n/2).
 Determinant and rank share one fraction-free (Bareiss) elimination on the
 integer matrix obtained by clearing row denominators, so intermediate
 entries never grow fractions; the determinant is 0 when the rank falls
@@ -87,6 +98,65 @@ def _poly(variables, den: int, nums: dict) -> "MultiPoly":
     out.den = den
     out.nums = nums
     return out
+
+
+def _mac(acc: dict, a: dict, b, c: int) -> None:
+    """acc += c * a * b on numerator dicts over packed keys, b None standing
+    for 1.  A scalar or one-term factor takes one loop over the other
+    factor; only two many-term factors take the double loop."""
+    get = acc.get
+    shift = 0
+    if b is not None:
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) != 1:
+            right = b.items()
+            for k1, v1 in a.items():
+                v1 *= c
+                for k2, v2 in right:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + v1 * v2
+            return
+        (shift, v), = b.items()
+        c *= v
+    if shift:
+        for k, v in a.items():
+            k += shift
+            acc[k] = get(k, 0) + v * c
+    else:
+        for k, v in a.items():
+            acc[k] = get(k, 0) + v * c
+
+
+def _dot(variables, pairs) -> "MultiPoly":
+    """The sum of a * b over ``pairs``, as one MultiPoly over ``variables``.
+
+    Each a is a MultiPoly and each b a MultiPoly or an int or Fraction.
+    Every product is accumulated into one dict of int numerators over the
+    lcm of the pairs' denominators, and the content is taken out once, at
+    the end.  No field can carry unnoticed: a product of total degree D
+    has a key whose top field is at least D, so the largest key bounds
+    every product's degree.
+    """
+    factors = []
+    for a, b in pairs:
+        if isinstance(b, MultiPoly):
+            if a.vars != variables or b.vars != variables:
+                raise ValueError("polynomials over different variable lists")
+            if a.nums and b.nums:
+                factors.append((a.nums, b.nums, 1, a.den * b.den))
+        else:
+            if a.vars != variables:
+                raise ValueError("polynomials over different variable lists")
+            if a.nums and b:
+                factors.append((a.nums, None, b.numerator, a.den * b.denominator))
+    den = math.lcm(*[f[3] for f in factors])
+    acc: dict[int, int] = {}
+    for a, b, c, d in factors:
+        _mac(acc, a, b, c * (den // d))
+    if acc:
+        _check_degree(max(acc) >> (FIELD_BITS * len(variables)))
+    return _poly(variables, den, {k: v for k, v in acc.items() if v})
 
 
 class MultiPoly:
@@ -185,23 +255,7 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            nums = {k: v * p for k, v in self.nums.items()} if p else {}
-            return _poly(self.vars, self.den * other.denominator, nums)
-        other = self._lift(other)
-        if not (self.nums and other.nums):
-            return _poly(self.vars, 1, {})
-        top = FIELD_BITS * len(self.vars)
-        _check_degree((max(self.nums) >> top) + (max(other.nums) >> top))
-        acc: dict[int, int] = {}
-        get = acc.get
-        right = other.nums.items()
-        for k1, v1 in self.nums.items():
-            for k2, v2 in right:
-                k = k1 + k2
-                acc[k] = get(k, 0) + v1 * v2
-        return _poly(self.vars, self.den * other.den, {k: v for k, v in acc.items() if v})
+        return _dot(self.vars, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -294,7 +348,7 @@ class RingMatrix:
     characteristic polynomial require the obvious squareness/compatibility.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_vars", "_cols")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -304,6 +358,16 @@ class RingMatrix:
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
         self.rows = rows
+        # the variable list of the MultiPoly entries, None when all are rational
+        self._vars = None
+        for row in rows:
+            for c in row:
+                if isinstance(c, MultiPoly):
+                    if self._vars is None:
+                        self._vars = c.vars
+                elif not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"matrix entries must be rational or MultiPoly, got {c!r}")
+        self._cols = None  # see _columns
 
     @property
     def nrows(self) -> int:
@@ -329,16 +393,46 @@ class RingMatrix:
 
     __hash__ = None
 
+    def _columns(self, variables):
+        """This matrix prepared as the right factor of products over
+        ``variables``, and kept: a running power multiplies by the same
+        matrix at every step.  Over Q (``variables`` None) it is cleared to
+        integers by columns, as ``_cleared_product`` takes it; over a
+        polynomial ring each column is the list of its nonzero entries as
+        (row index, MultiPoly), rationals lifted to constants."""
+        cols = self._cols
+        if cols is None or cols[0] != variables:
+            if variables is None:
+                ints, dens = _cleared_int_rows(zip(*self.rows))
+                cols = None, (list(zip(*ints)), ints, dens)
+            else:
+                cols = variables, [
+                    [(t, c if isinstance(c, MultiPoly) else MultiPoly.const(variables, c))
+                     for t, c in enumerate(col) if c]
+                    for col in zip(*self.rows)
+                ]
+            self._cols = cols
+        return cols[1]
+
+    def _ring(self, other: "RingMatrix"):
+        """The variable list of a product or pairing of self and other."""
+        return self._vars if other._vars is None else other._vars
+
     def mul(self, other: "RingMatrix") -> "RingMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        if _rational_entries(self) and _rational_entries(other):
-            return RingMatrix(_cleared_product(self.rows, other.rows))
+        variables = self._ring(other)
+        right = other._columns(variables)
+        if variables is None:
+            return RingMatrix(_cleared_product(self.rows, right))
         zero = Fraction(0)
-        bt = list(zip(*other.rows))
         out = []
         for row in self.rows:
-            out.append([sum((a * b for a, b in zip(row, col) if a and b), zero) for col in bt])
+            line = []
+            for col in right:
+                pairs = [(a, b) if isinstance(a, MultiPoly) else (b, a) for t, b in col if (a := row[t])]
+                line.append(_dot(variables, pairs) if pairs else zero)
+            out.append(line)
         return RingMatrix(out)
 
     __matmul__ = mul
@@ -360,21 +454,52 @@ class RingMatrix:
         return f"RingMatrix({self.nrows}x{self.ncols})"
 
 
+def trace_product(a: RingMatrix, b: RingMatrix, variables=None):
+    """tr(a @ b) = sum_ij a_ij b_ji, without forming the product.
+
+    When every entry is rational and ``variables`` is None, row i of a and
+    column i of b are cleared to integers, and each i gives one integer dot
+    product and one Fraction.  Otherwise every nonzero product goes into
+    one fused sum over ``variables`` (by default, the entries' variable
+    list), and the value is a MultiPoly, zero included.
+    """
+    if a.ncols != b.nrows or a.nrows != b.ncols:
+        raise ValueError("dimension mismatch in trace of a product")
+    if variables is None:
+        variables = a._ring(b)
+    if variables is None:
+        rows, row_dens = _cleared_int_rows(a.rows)
+        _, cols, col_dens = b._columns(None)
+        return sum((Fraction(sum(map(mul, r, c)), d * e)
+                    for r, c, d, e in zip(rows, cols, row_dens, col_dens)), Fraction(0))
+    pairs = [(x, y) if isinstance(x, MultiPoly) else (y, x)
+             for row, col in zip(a.rows, b._columns(variables)) for j, y in col if (x := row[j])]
+    return _dot(variables, pairs)
+
+
 def charpoly(m: RingMatrix) -> list:
     """Coefficients of det(lambda*Id - M), listed from lambda^0 up, monic.
 
     Computed from the traces of matrix powers by the Newton recurrence
     i*e_i = sum_{j=1..i} (-1)^(j-1) e_{i-j} tr(M^j).  Every division is by
     an integer, so the recurrence is exact over Q and over Q[f0..fd]:
-    entries may be ints, Fractions or MultiPolys, and anything else (a
-    float, say) raises TypeError.  The leading 1 is a Fraction.
+    entries may be ints, Fractions or MultiPolys (a RingMatrix refuses
+    anything else, a float say, with TypeError).  The leading 1 is a
+    Fraction.  The traces come from M, ..., M^ceil(n/2) alone, two powers
+    held at a time: tr(M^j) is the pairing ``trace_product`` of
+    M^ceil(j/2) with M^floor(j/2).
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    if not all(isinstance(c, (int, Fraction, MultiPoly)) for row in m.rows for c in row):
-        raise TypeError("charpoly requires rational or MultiPoly entries")
     n = m.nrows
-    traces = [power.trace() for power in m.powers(n)]
+    traces = []
+    prev = None
+    for a, power in enumerate(m.powers((n + 1) // 2), 1):
+        # tr(M^(2a-1)) pairs M^a with M^(a-1), tr(M^(2a)) pairs M^a with itself
+        traces.append(m.trace() if prev is None else trace_product(power, prev, m._vars))
+        if 2 * a <= n:
+            traces.append(trace_product(power, power, m._vars))
+        prev = power
     e = [Fraction(1)]
     for i in range(1, n + 1):
         s = Fraction(0)
@@ -382,11 +507,6 @@ def charpoly(m: RingMatrix) -> list:
             s += alt_sign(j - 1) * e[i - j] * traces[j - 1]
         e.append(s / i)
     return [alt_sign(n - p) * e[n - p] for p in range(n + 1)]
-
-
-def _rational_entries(m: RingMatrix) -> bool:
-    """True when every entry of m is an int or a Fraction."""
-    return all(isinstance(c, (int, Fraction)) for row in m.rows for c in row)
 
 
 def _cleared_int_rows(rows):
@@ -423,18 +543,20 @@ def _times(a: list[list[int]], b: list[list[int]], b_cols) -> list[list[int]]:
     return out
 
 
-def _cleared_product(a_rows, b_rows):
+def _cleared_product(a_rows, right):
     """Entries of the rational product a @ b, computed over Z.
 
     Row i of a is scaled to integers by its denominator lcm d_i, column j
     of b likewise by e_j, and (a @ b)_ij = (A @ B)_ij / (d_i e_j) for the
     cleared integer matrices A and B, whose product ``_times`` takes.
+    ``right`` is b as ``RingMatrix._columns`` clears it: B's rows, B's
+    columns and the e_j.
     """
+    b, bt, col_dens = right
     a, row_dens = _cleared_int_rows(a_rows)
-    bt, col_dens = _cleared_int_rows(zip(*b_rows))
     zero = Fraction(0)
     return [[Fraction(s, d * e) if s else zero for s, e in zip(row, col_dens)]
-            for row, d in zip(_times(a, list(zip(*bt)), bt), row_dens)]
+            for row, d in zip(_times(a, b, bt), row_dens)]
 
 
 def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:

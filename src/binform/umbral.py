@@ -10,6 +10,12 @@ and substitutes, for each letter u of degree d, the monomial u1^(d-i) u2^i
 by f_i(u) / C(d, i), where f_i(u) is the i-th coefficient of the form
 assigned to u.  Letters are contracted one at a time, each substituted as
 soon as all its factors are in, so the full expansion is never built.
+The running values are int numerator dicts over packed exponent keys
+(polyring's storage), over one denominator shared by all of them: a
+numeric coefficient is the constant key 0, so numeric and symbolic forms
+take one path, and spreading a bracket or substituting a letter is an
+integer multiply-add (polyring's ``_mac``) with no MultiPoly per term.
+Only the final coefficients become Fractions or MultiPolys.
 Dividing by the binomial is the unique normalization under which
 
     (a b)^k a_x^(m-k) b_x^(n-k)  evaluates to  transvectant(F, G, k)
@@ -28,12 +34,14 @@ comma-separated), "u_x^w" factors carry the x powers, and the optional
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import alt_sign, binom_ext
 from .forms import BinaryForm
+from .polyring import FIELD_BITS, MultiPoly, _check_degree, _mac, _poly
 
 
 @dataclass
@@ -111,11 +119,14 @@ def umbral_eval(mono: BracketMonomial, assignment: dict[str, BinaryForm]) -> Bin
     form of order sum of the x powers (order 0 for invariants).
 
     Running values are kept per index key, the u2 exponent of each letter
-    and the power of x2.  Letter u multiplies in its brackets with later
-    letters and its x power, then is closed: its exponent i becomes the
-    factor f_i(u) / C(d, i) and its slot is reset.  So keys range over the
-    open letters only: two for a cycle, whose contraction is the matrix
-    power behind trace_invariant.
+    and the power of x2, as int numerators over one shared denominator.
+    Letter u multiplies in its brackets with later letters and its x
+    power, then is closed: its exponent i becomes the factor
+    f_i(u) / C(d, i) and its slot is reset.  So keys range over the open
+    letters only: two for a cycle, whose contraction is the matrix power
+    behind trace_invariant.  The coefficients are Fractions when every
+    assigned coefficient is rational and MultiPolys otherwise; all
+    MultiPoly coefficients must share one variable list.
     """
     for u in mono.letters:
         if u not in assignment:
@@ -125,35 +136,67 @@ def umbral_eval(mono: BracketMonomial, assignment: dict[str, BinaryForm]) -> Bin
                 f"letter {u!r} tagged degree {mono.degrees[u]}, "
                 f"assigned form of degree {assignment[u].degree}"
             )
+    variables = None
+    for u in mono.letters:
+        for c in assignment[u].coeffs:
+            if isinstance(c, MultiPoly):
+                if variables is None:
+                    variables = c.vars
+                elif c.vars != variables:
+                    raise ValueError("polynomials over different variable lists")
+    top = 0 if variables is None else FIELD_BITS * len(variables)
     slot = {u: t for t, u in enumerate(mono.letters)}
     x2 = len(slot)  # a key is the u2 exponent of each letter, then the power of x2
-    state = {(0,) * (x2 + 1): mono.coeff}
+    state = {(0,) * (x2 + 1): {0: mono.coeff.numerator}}
+    den = mono.coeff.denominator  # every value in state is its int numerators over den
+    degree = 0  # a bound on the total degree of the values in the ring
     for u, s in slot.items():
         # (u1 v2 - u2 v1)^e has the terms C(e,l) (u1 v2)^(e-l) (-u2 v1)^l;
         # (u1 x1 + u2 x2)^w has the terms C(w,l) u1^(w-l) u2^l x1^(w-l) x2^l.
-        # A new key starts at its first term: 0 + term would lift 0 to a MultiPoly.
         factors = [(e, slot[v], True) for (a, v), e in mono.edges.items() if a == u]
         factors += [(mono.x_powers[u], x2, False)] if u in mono.x_powers else []
         for e, t, bracket in factors:
+            weights = [binom_ext(e, l) * (alt_sign(l) if bracket else 1) for l in range(e + 1)]
             spread = {}
             for key, value in state.items():
-                for l in range(e + 1):
+                for l, w in enumerate(weights):
                     nxt = list(key)
                     nxt[s] += l
                     nxt[t] += e - l if bracket else l
                     nxt = tuple(nxt)
-                    term = value * (binom_ext(e, l) * (alt_sign(l) if bracket else 1))
-                    spread[nxt] = spread[nxt] + term if nxt in spread else term
+                    acc = spread.get(nxt)
+                    if acc is None:
+                        acc = spread[nxt] = {}
+                    _mac(acc, value, None, w)
             state = spread
-        subst = [c / binom_ext(mono.degrees[u], i) for i, c in enumerate(assignment[u].coeffs)]
+        # close u: f_i(u) / C(d, i) as int numerators over one denominator
+        d = mono.degrees[u]
+        subst = []
+        for i, c in enumerate(assignment[u].coeffs):
+            if isinstance(c, MultiPoly):
+                subst.append((c.nums, c.den * binom_ext(d, i)))
+            else:
+                subst.append(({0: c.numerator} if c else {}, c.denominator * binom_ext(d, i)))
+        scale = math.lcm(*[q for nums, q in subst if nums])
+        subst = [{k: v * (scale // q) for k, v in nums.items()} for nums, q in subst]
+        den *= scale
+        degree += max((k >> top for nums in subst for k in nums), default=0)
+        _check_degree(degree)
         closed = {}
         for key, value in state.items():
             g = subst[key[s]]
-            if value and g:
-                nxt, term = key[:s] + (0,) + key[s + 1:], value * g
-                closed[nxt] = closed[nxt] + term if nxt in closed else term
+            if g:
+                nxt = key[:s] + (0,) + key[s + 1:]
+                acc = closed.get(nxt)
+                if acc is None:
+                    acc = closed[nxt] = {}
+                _mac(acc, value, g, 1)
         state = closed
-    return BinaryForm([state.get((0,) * x2 + (j,), 0) for j in range(mono.order + 1)])
+    coeffs = []
+    for j in range(mono.order + 1):
+        nums = {k: v for k, v in state.get((0,) * x2 + (j,), {}).items() if v}
+        coeffs.append(Fraction(nums.get(0, 0), den) if variables is None else _poly(variables, den, nums))
+    return BinaryForm(coeffs)
 
 
 def cyclic_bracket(k: int, p: int) -> BracketMonomial:

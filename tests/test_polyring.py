@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from binform.exactnum import alt_sign
 from binform.forms import generic_form, random_form, unstable_form
 from binform.invariants import transvection_matrix
 from binform.polyring import (
     FIELD_BITS,
     MultiPoly,
     RingMatrix,
+    _dot,
     charpoly,
     det_exact,
     rank_exact,
+    trace_product,
 )
 
 V3 = ("f0", "f1", "f2")
@@ -280,6 +283,145 @@ def test_packed_core_against_reference_polynomials():
                     "different degrees", "13 variables"}
 
 
+def _fused_pairs(rng, case):
+    """Seeded pairs for ``_dot`` over 1-6 variables, each with its reference
+    product; ``case`` picks the kind of second factor."""
+    names = tuple(f"f{i}" for i in range(rng.randint(1, 6)))
+    dens = [1, 2, 3, 7, 12, math.factorial(10)]
+
+    def coeff():
+        return Fraction(rng.randint(-50, 50), rng.choice(dens))
+
+    def terms(nterms, maxdeg=4):
+        out = {}
+        for _ in range(nterms):
+            exp = [0] * len(names)
+            for _ in range(rng.randint(0, maxdeg)):
+                exp[rng.randrange(len(names))] += 1
+            out[tuple(exp)] = coeff()
+        return out
+
+    pairs = []
+    for _ in range(0 if case % 9 == 0 else rng.randint(1, 6)):
+        a = terms(rng.randint(0, 5))
+        kind = rng.randrange(5)
+        if kind == 0:
+            b = rng.randint(-9, 9)
+        elif kind == 1:
+            b = coeff()
+        else:  # a MultiPoly of one or several terms, possibly constant or zero
+            b = terms(rng.randint(0, 1) if kind == 2 else rng.randint(2, 5), maxdeg=0 if kind == 3 else 4)
+            b = (MultiPoly(names, b), _RefPoly(names, b))
+        pairs.append(((MultiPoly(names, a), _RefPoly(names, a)), b))
+    if case % 4 == 1 and pairs:  # the last pair cancels an earlier one
+        (a, ar), b = pairs[rng.randrange(len(pairs))]
+        pairs.append(((-a, -ar), b))
+    return names, pairs
+
+
+def test_fused_sum_against_reference_sums():
+    rng = random.Random(21)
+    seen = set()
+    for case in range(60):
+        names, pairs = _fused_pairs(rng, case)
+        packed = [(a, b[0] if isinstance(b, tuple) else b) for (a, _), b in pairs]
+        ref = _RefPoly(names, {})
+        for (_, ar), b in pairs:
+            ref = ref + ar * (b[1] if isinstance(b, tuple) else b)
+        got = _dot(names, packed)
+        _same(got, ref)
+        # content normalized once: equal to the sum of one-pair products
+        assert got == sum((a * b for a, b in packed), MultiPoly.zero(names))
+        assert got.vars is names
+        factors = [b for _, b in packed]
+        if not pairs:
+            seen.add("empty")
+        if pairs and not got:
+            seen.add("cancels to 0")
+        for b in factors:
+            if isinstance(b, MultiPoly):
+                seen.add({0: "zero poly", 1: "one-term poly"}.get(len(b.nums), "many-term poly"))
+            else:
+                seen.add("zero scalar" if not b else "int" if type(b) is int else "Fraction")
+        if len({a.den for a, _ in packed} | {b.den for b in factors if isinstance(b, MultiPoly)}) > 2:
+            seen.add("mixed denominators")
+    assert seen == {"empty", "cancels to 0", "zero poly", "one-term poly", "many-term poly",
+                    "zero scalar", "int", "Fraction", "mixed denominators"}
+
+
+def test_fused_sum_checks_degree_and_variables():
+    top = 2 ** FIELD_BITS - 1
+    f0, f1 = _var(0), _var(1)
+    high = f0 ** top
+    # one-term, many-term and cancelling products of total degree 2^W
+    for pairs in ([(high, f1)], [(f1, high)], [(high, f0 + f1)], [(f0, f1), (high, f0), (-high, f0)]):
+        with pytest.raises(OverflowError):
+            _dot(V3, pairs)
+    assert _dot(V3, [(high, 3), (f0, f1)]) == 3 * high + f0 * f1  # scalars keep the degree
+    other = MultiPoly.variable(("x", "y", "z"), 0)
+    for pairs in ([(other, f0)], [(f0, other)], [(other, 2)], [(f0, f1), (f0, other)]):
+        with pytest.raises(ValueError):
+            _dot(V3, pairs)
+    with pytest.raises(ValueError):
+        RingMatrix([[f0]]).mul(RingMatrix([[other]]))
+
+
+def _entrywise_product(a, b):
+    # the sum of one-pair products per entry: the slow route for the fused one
+    zero = Fraction(0)
+    return [[sum((a[i, t] * b[t, j] for t in range(a.ncols) if a[i, t] and b[t, j]), zero)
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+def test_polynomial_product_and_pairing_against_entrywise_sums():
+    rng = random.Random(22)
+    for _ in range(12):
+        n, inner = rng.randint(1, 5), rng.randint(1, 5)
+
+        def entry():
+            r = rng.random()
+            if r < 0.3:
+                return Fraction(0)
+            if r < 0.45:
+                return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            return _random_poly(rng, nterms=rng.randint(1, 3))
+
+        a = RingMatrix([[entry() for _ in range(inner)] for _ in range(n)])
+        b = RingMatrix([[entry() for _ in range(n)] for _ in range(inner)])
+        assert [list(r) for r in a.mul(b).rows] == _entrywise_product(a, b)
+        want = sum((a[i, j] * b[j, i] for i in range(n) for j in range(inner)), MultiPoly.zero(V3))
+        assert trace_product(a, b, V3) == want
+        assert type(trace_product(a, b, V3)) is MultiPoly
+
+
+def test_rational_pairing_against_fraction_oracle():
+    rng = random.Random(23)
+    for case in range(20):
+        a, b = _oracle_operands(rng, case)
+        if a.nrows != b.ncols:
+            b = RingMatrix(list(zip(*a.rows)))
+        value = trace_product(a, b)
+        assert type(value) is Fraction
+        assert value == sum((Fraction(a[i, j]) * Fraction(b[j, i]) for i in range(a.nrows)
+                             for j in range(a.ncols)), Fraction(0))
+    with pytest.raises(ValueError):
+        trace_product(RingMatrix([[1, 2]]), RingMatrix([[1, 2]]))
+
+
+def test_running_power_prepares_its_factor_once(monkeypatch):
+    import binform.polyring as polyring
+
+    calls = []
+    cleared = polyring._cleared_int_rows
+    monkeypatch.setattr(polyring, "_cleared_int_rows", lambda rows: calls.append(1) or cleared(rows))
+    m = transvection_matrix(random_form(8, random.Random(5)), 4)
+    powers = list(m.powers(6))
+    assert len(calls) == 1 + 5  # M's columns once, then each left factor's rows
+    assert [list(r) for r in powers[-1].rows] == _fraction_product(powers[-2], m)
+    f = transvection_matrix(generic_form(8), 4)
+    assert f._columns(f._vars) is f._columns(f._vars)
+
+
 def _power(m, p):
     """M^p as the last of ``m.powers(p)``, the identity at p = 0."""
     out = RingMatrix.identity(m.nrows)
@@ -444,6 +586,23 @@ def _random_matrix(rng, n, m=None):
     return RingMatrix(
         [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m)] for _ in range(n)]
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_half_power_traces_against_full_powers(n):
+    # charpoly pairs M^ceil(j/2) with M^floor(j/2); the slow route takes
+    # tr(M^j) from all of M, ..., M^n and the same Newton recurrence
+    rng = random.Random(n)
+    if n <= 4:
+        dense = RingMatrix([[_random_poly(rng, 2, 2) for _ in range(n)] for _ in range(n)])
+    else:  # sparse single-term entries, as the invariants take them
+        dense = transvection_matrix(generic_form(8), n - 1)
+    for m in (_random_matrix(rng, n), dense):
+        traces = [power.trace() for power in m.powers(n)]
+        e = [Fraction(1)]
+        for i in range(1, n + 1):
+            e.append(sum((alt_sign(j - 1) * e[i - j] * traces[j - 1] for j in range(1, i + 1)), Fraction(0)) / i)
+        assert charpoly(m) == [alt_sign(n - p) * e[n - p] for p in range(n + 1)]
 
 
 def test_charpoly_against_interpolated_determinant():

@@ -297,3 +297,33 @@ def test_contraction_with_degree_zero_and_x_only_letters():
     _assert_same_as_per_term(mono, symbolic)
     assert not umbral_eval(mono, numeric).is_zero()
     assert umbral_eval(mono, dict(numeric, z=BinaryForm([0]))).is_zero()
+
+
+def test_numeric_contraction_equals_the_symbolic_one_at_the_point():
+    # every letter gets its own generic form over one shared ring; the
+    # symbolic value evaluated at the numeric coefficients is the numeric value
+    rng = random.Random(14)
+    nonzero = 0
+    for _ in range(15):
+        mono = _random_monomial(rng)
+        names = tuple(f"{u}{i}" for u in mono.letters for i in range(mono.degrees[u] + 1))
+        symbolic, numeric, point = {}, {}, []
+        for u in mono.letters:
+            d = mono.degrees[u]
+            symbolic[u] = BinaryForm([MultiPoly.variable(names, names.index(f"{u}{i}")) for i in range(d + 1)])
+            numeric[u] = BinaryForm([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d + 1)])
+            point += numeric[u].coeffs
+        got = umbral_eval(mono, numeric)
+        general = umbral_eval(mono, symbolic)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert all(type(c) is MultiPoly for c in general.coeffs)
+        assert [c.evaluate(point) for c in general.coeffs] == list(got.coeffs)
+        nonzero += not got.is_zero()
+    assert nonzero >= 5
+
+
+def test_contraction_rejects_mixed_variable_lists():
+    mono = _pair_bracket(2, 2, 2)
+    f, g = generic_form(2), BinaryForm([MultiPoly.variable(("x", "y", "z"), i) for i in range(3)])
+    with pytest.raises(ValueError):
+        umbral_eval(mono, {"a": f, "b": g})
