@@ -3,6 +3,7 @@ PASS/FAIL line.  Every assertion is exact (Fraction or int equality); the
 only tolerances are wall-clock budgets, asserted where stated.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -24,7 +25,7 @@ from binform.invariants import (
     p2_closed_form,
     trace_invariant,
 )
-from binform.sixj import sign_grid, zero_cells
+from binform.sixj import grid_to_csv, grid_to_ppm, sign_grid, zero_cells
 from binform.transvect import transvectant
 
 X14 = BinaryForm([1, 0, 0, 0, 1])  # x1^4 + x2^4
@@ -165,11 +166,22 @@ def test_criterion_6_quadratic_closed_form_and_star_triangle():
     _report("6 quadratic closed form + cubic proportionality", ok)
 
 
+GRID_201_PPM_SHA256 = "644c6b3c95c24078285d2cf101c98cd2a729716347494efb285115a6a2b1796a"
+GRID_201_CSV_SHA256 = "b6b344148e796425aee815f62a0625c9297aa7bee3defc82a025c98bbba8f845"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_criterion_7_sixj_grid_and_scan(capsys):
     start = time.monotonic()
     grid = sign_grid(rows=201, cols=201)
     elapsed = time.monotonic() - start
     ok = zero_cells(grid) == [(1, 2)] and elapsed < 300.0
+    # the zero cells alone would not see a flipped sign: pin every byte
+    ok = ok and _sha256(grid_to_ppm(grid)) == GRID_201_PPM_SHA256
+    ok = ok and _sha256(grid_to_csv(grid)) == GRID_201_CSV_SHA256
     code = cli_main(["sixj", "scan", "--kmax", "50", "--nmax", "150"])
     out = capsys.readouterr().out
     scan = json.loads(out)

@@ -69,6 +69,25 @@ def test_row_matches_definition_on_partial_windows():
             assert sixj_row(k, n_min, n_max) == expected, (k, n_min, n_max)
 
 
+def test_row_matches_dot_product_route_for_every_small_k():
+    # sixj_row (Newton form of the row polynomial) and sixj_sum (one dot
+    # product of term-ratio sequences) share no arithmetic
+    for k in range(2, 61):
+        assert sixj_row(k, k, k + 150) == [sixj_sum(k, n) for n in range(k, k + 151)], k
+
+
+def test_row_matches_dot_product_route_on_seeded_windows():
+    rng = random.Random(3)
+    ks = [rng.randint(2, 200) for _ in range(24)] + [199, 200, 161, 2, 3]
+    assert any(k % 2 for k in ks) and any(k % 2 == 0 for k in ks)
+    for k in ks:
+        n_min = k + rng.randint(0, 3 * k)
+        n_max = n_min + rng.randint(0, 25)
+        expected = [sixj_sum(k, n) for n in range(n_min, n_max + 1)]
+        assert sixj_row(k, n_min, n_max) == expected, (k, n_min, n_max)
+        assert sixj_row(k, n_max, n_max) == expected[-1:], (k, n_max)
+
+
 def test_grid_signs_match_definition():
     grid = sign_grid(rows=30, cols=30)
     for r in range(1, 31):
