@@ -22,7 +22,7 @@ def main(argv: list[str]) -> int:
     elapsed = time.monotonic() - start
     (out_dir / "sign_grid.ppm").write_text(grid_to_ppm(grid), encoding="ascii")
     (out_dir / "sign_grid.csv").write_text(grid_to_csv(grid), encoding="ascii")
-    print(f"grid computed in {elapsed:.1f} s")
+    print(f"grid computed in {elapsed * 1000:.0f} ms")
     print(f"zero cells: {zero_cells(grid)}")
     return 0
 

@@ -9,25 +9,18 @@ pattern against external renderings are qualitative only.
 
 There are two routes, split by what is asked for, and each is the other's
 oracle.  A row of values for one k (the sign grid and the zero scan take
-one row per k) comes from `sixj_row`.  Chu-Vandermonde,
-C(N+m, 3k+1) = sum_i C(m, i) C(N, 3k+1-i) with N = n+k+1, collapses the
-whole row to C(N, 2k+1) G(n-k) up to a constant factor, where G is a
-polynomial of degree at most k (2 floor(k/2) in fact; ROADMAP D2's Q_k).
-Its Newton coefficients come from one Taylor shift by suffix sums, and
-its values along the row from a difference table, additions only
-(A = B, ch. 3 and 5; von zur Gathen & Gerhard, Modern Computer Algebra,
-sec. 4.3).  A single value comes from `sixj_sum`, one O(k) dot product
-of two term-ratio sequences: building G costs O(k^2) additions, which a
-row spreads over its cells and one cell does not.  The 201x201 grid
-takes about 0.6 s in process on a 2-vCPU Xeon VM, against about
-1.0 s by one dot product per cell.
+one row per k) comes from `sixj_row`, which steps a three-term recurrence
+in n proved by creative telescoping (A = B, ch. 6): O(1) big-int
+operations per cell, no binomial at all.  A single value comes from
+`sixj_sum`, one O(k) dot product of two term-ratio sequences, where the
+recurrence would take n - k steps.  The 201x201 grid takes 22-38 ms
+in process on a 2-vCPU Xeon VM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from math import comb, factorial, gcd, perm
+from math import comb
 from operator import mul
 
 from .exactnum import alt_sign
@@ -42,75 +35,50 @@ def _check_pair(k: int, n: int) -> None:
         raise ValueError(f"need n >= k, got (k, n) = ({k}, {n})")
 
 
-def _newton_coeffs(k: int) -> tuple[list[int], int, int]:
-    """Newton coefficients of the row polynomial, and the factor that scales
-    it back: (c, p, q) with, for x = n - k >= 0,
-
-        S(k, n) = (-1)^x C(x+2k+1, 2k+1) p G(x) / q,
-        G(x) = sum_d c[d] C(x, d),
-
-    c a list of coprime integers without trailing zeros and p/q in lowest
-    terms.  G is Q_k of ROADMAP D2 in the variable x, up to a constant.
-
-    With N = n+k+1 and B[m] = (-1)^m C(k, m)^3, Chu-Vandermonde
-    C(N+m, 3k+1) = sum_i C(m, i) C(N, 3k+1-i) turns the defining sum into
-    (-1)^x S = sum_{i<=k} W[i] C(N, 3k+1-i) with W[i] = sum_m B[m] C(m, i),
-    the coefficients of B(1+y).  That Taylor shift is k+1 passes of suffix
-    sums, additions only: `tail` holds B reversed, so its prefix sums are
-    suffix sums of B; the last one of pass i is W[i], and the rest are the
-    suffix sums from index i+1 on, which pass i+1 sums again.  Then
-    C(N, 2k+1+d) = C(N, 2k+1) C(x, d) / C(2k+1+d, d) gives
-    (-1)^x S = C(N, 2k+1) sum_d c_d C(x, d) / M with M = (3k+1)!/(2k+1)!
-    and c_d = W[k-d] f_d, f_d = d! (3k+1)!/(2k+1+d)!.  Each f_d is an
-    integer, d! times the k-d integers 2k+2+d, ..., 3k+1, so stepping down
-    from f_k = k! by f_(d-1) = f_d (2k+1+d) / d divides exactly (stepping
-    from 1 instead of k! would not).
-    """
-    tail, w = [alt_sign(m) * comb(k, m) ** 3 for m in range(k, -1, -1)], []
-    for _ in range(k + 1):
-        tail = list(accumulate(tail))
-        w.append(tail.pop())
-    c, f = [0] * (k + 1), factorial(k)
-    for d in range(k, 0, -1):
-        c[d] = w[k - d] * f
-        f = f * (2 * k + 1 + d) // d
-    c[0] = w[k] * f
-    while not c[-1]:
-        c.pop()
-    g = gcd(*c)
-    big_m = perm(3 * k + 1, k)
-    h = gcd(g, big_m)
-    return [cd // g for cd in c], g // h, big_m // h
-
-
 def sixj_row(k: int, n_min: int, n_max: int) -> list[int]:
     """Exact values [S(k, n) for n_min <= n <= n_max], k >= 2, n_min >= k;
     empty when n_max < n_min.
 
-    The row is read off the Newton form of `_newton_coeffs` at
-    x = n - k = 0, 1, ..., n_max - k by the difference table: level deg
-    is the constant top coefficient, and level d is the prefix sums of
-    level d+1 started at c[d], so G(0..X) costs deg * (X+1) additions and
-    no multiplication.  Each value is then C(x+2k+1, 2k+1) p G(x) // q,
-    the binomial times p stepped by its ratio (x+2k+2)/(x+1).  Both
-    divisions are exact: the stepped quantity is an integer and so is
-    S(k, n), whose q-fold is the dividend.  Windows with n_min > k still
-    start the table at x = 0 and drop the first n_min - k values.
+    The row steps a three-term recurrence in n whose coefficients are
+    cubic and do not grow with k.  Its proof, by creative telescoping
+    (A = B, ch. 6):
+
+    - The sum.  T(n) = sum_{m=0..k} F(n, m) = (-1)^(k+n) S(k, n), with
+      F(n, m) = (-1)^m C(k, m)^3 C(m+k+n+1, 3k+1) (put m = j - k - n in
+      the defining sum).
+    - The certificate.  G(n, m) = -(-1)^m m^3 C(k, m)^3 C(m+k+n+1, 3k)
+      satisfies, for n >= k-1 and 0 <= m <= k,
+        (n+k+2)^3 F(n, m) + (n+2)(3k(k+1) - 2(n+2)^2) F(n+1, m)
+          + (n+2-k)^3 F(n+2, m) = G(n, m+1) - G(n, m).
+      With M = m+k+n+1 >= 3k, dividing by (-1)^m C(k, m)^3 C(M, 3k)
+      makes it an identity of rational functions in n, m and k; at
+      M = 3k-1 both sides are (-1)^m (k-m)^3 C(k, m)^3, and below that
+      every term is zero.
+    - Telescoping.  Summing over m = 0..k leaves G(n, k+1) - G(n, 0),
+      and both vanish (C(k, k+1) = 0 and the factor m^3), so the
+      left-hand side sums to zero.
+    - The recurrence.  With N = n+2 and the signs of T absorbed,
+        (N-k)^3 S(k, N) = N(3k(k+1) - 2N^2) S(k, N-1) - (N+k)^3 S(k, N-2).
+    - Seeds.  S(k, k-1) = 0, since every term of its sum vanishes, and
+      S(k, k) = (-1)^k, a single term.
+    - Exact division.  For N >= k+1 the divisor (N-k)^3 is nonzero and
+      S(k, N) is an integer, so each `//` is exact.
+
+    Each cell costs two small-by-big multiplications, one subtraction and
+    one exact small division.  A window with n_min > k still steps from
+    n = k and drops the first n_min - k values.
     """
     _check_pair(k, n_min)
     if n_max < n_min:
         return []
-    c, p, q = _newton_coeffs(k)
-    cols = n_max - k + 1
-    level = [c[-1]] * cols
-    for cd in reversed(c[:-1]):
-        level = list(islice(accumulate(level, initial=cd), cols))
-    x0 = n_min - k
-    scale, row = p * comb(x0 + 2 * k + 1, 2 * k + 1), []
-    for x in range(x0, cols):
-        row.append(alt_sign(x) * (scale * level[x] // q))
-        scale = scale * (x + 2 * k + 2) // (x + 1)
-    return row
+    c = 3 * k * (k + 1)
+    prev, cur = 0, alt_sign(k)  # S(k, k-1), S(k, k)
+    row = [cur]
+    for big_n in range(k + 1, n_max + 1):
+        step = big_n * (c - 2 * big_n * big_n) * cur - (big_n + k) ** 3 * prev
+        prev, cur = cur, step // (big_n - k) ** 3
+        row.append(cur)
+    return row[n_min - k :]
 
 
 def sixj_sum(k: int, n: int) -> int:

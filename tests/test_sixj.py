@@ -70,7 +70,7 @@ def test_row_matches_definition_on_partial_windows():
 
 
 def test_row_matches_dot_product_route_for_every_small_k():
-    # sixj_row (Newton form of the row polynomial) and sixj_sum (one dot
+    # sixj_row (the three-term recurrence in n) and sixj_sum (one dot
     # product of term-ratio sequences) share no arithmetic
     for k in range(2, 61):
         assert sixj_row(k, k, k + 150) == [sixj_sum(k, n) for n in range(k, k + 151)], k
@@ -78,14 +78,77 @@ def test_row_matches_dot_product_route_for_every_small_k():
 
 def test_row_matches_dot_product_route_on_seeded_windows():
     rng = random.Random(3)
-    ks = [rng.randint(2, 200) for _ in range(24)] + [199, 200, 161, 2, 3]
+    ks = [rng.randint(2, 300) for _ in range(24)] + [299, 300, 161, 2, 3]
     assert any(k % 2 for k in ks) and any(k % 2 == 0 for k in ks)
     for k in ks:
-        n_min = k + rng.randint(0, 3 * k)
+        n_min = k + rng.randint(0, 700)
         n_max = n_min + rng.randint(0, 25)
         expected = [sixj_sum(k, n) for n in range(n_min, n_max + 1)]
         assert sixj_row(k, n_min, n_max) == expected, (k, n_min, n_max)
         assert sixj_row(k, n_max, n_max) == expected[-1:], (k, n_max)
+
+
+def test_row_window_is_a_suffix_of_the_full_row():
+    rng = random.Random(5)
+    for k in (2, 3, 4, 17, 50, 121):
+        full = sixj_row(k, k, 4 * k + 40)
+        for _ in range(8):
+            n_min = rng.randint(k + 1, 4 * k + 40)
+            assert sixj_row(k, n_min, 4 * k + 40) == full[n_min - k :], (k, n_min)
+
+
+def _f(k, n, m):
+    # summand of T(n) = (-1)^(k+n) S(k, n)
+    return alt_sign(m) * comb(k, m) ** 3 * comb(m + k + n + 1, 3 * k + 1)
+
+
+def _g(k, n, m):
+    # the certificate; comb(k, k+1) == 0 covers m = k+1
+    return -alt_sign(m) * m**3 * comb(k, m) ** 3 * comb(m + k + n + 1, 3 * k)
+
+
+def _recurrence_lhs(k, n, m):
+    return (
+        (n + k + 2) ** 3 * _f(k, n, m)
+        + (n + 2) * (3 * k * (k + 1) - 2 * (n + 2) ** 2) * _f(k, n + 1, m)
+        + (n + 2 - k) ** 3 * _f(k, n + 2, m)
+    )
+
+
+def test_telescoping_certificate_on_a_finite_window():
+    for k in range(2, 41):
+        for n in range(k - 1, 3 * k + 6):
+            assert _g(k, n, 0) == 0 and _g(k, n, k + 1) == 0, (k, n)
+            for m in range(k + 1):
+                assert _recurrence_lhs(k, n, m) == _g(k, n, m + 1) - _g(k, n, m), (k, n, m)
+
+
+def test_telescoping_certificate_for_every_k():
+    sympy = pytest.importorskip("sympy")
+    k, n, m = sympy.symbols("k n m")
+    big_n = m + k + n + 1
+    # For big_n >= 3k, divide by (-1)^m C(k, m)^3 C(big_n, 3k), nonzero for
+    # 0 <= m <= k; each binomial becomes a rational function of big_n and k.
+    lhs = (
+        (n + k + 2) ** 3 * (big_n - 3 * k) / (3 * k + 1)
+        + (n + 2) * (3 * k * (k + 1) - 2 * (n + 2) ** 2) * (big_n + 1) / (3 * k + 1)
+        + (n + 2 - k) ** 3 * (big_n + 1) * (big_n + 2) / ((3 * k + 1) * (big_n + 1 - 3 * k))
+    )
+    # G(n, m+1): C(k, m+1) / C(k, m) = (k-m)/(m+1); G(n, m) is -m^3
+    rhs = (k - m) ** 3 * (big_n + 1) / (big_n + 1 - 3 * k) + m**3
+    assert sympy.simplify(sympy.together(lhs - rhs)) == 0
+    # At big_n = 3k-1 only F(n+2, m) and G(n, m+1) survive, with n = 2k-2-m:
+    # both sides are (-1)^m (k-m)^3 C(k, m)^3.  Below that every term is 0.
+    assert sympy.expand(((n + 2 - k) ** 3 - (k - m) ** 3).subs(n, 2 * k - 2 - m)) == 0
+
+
+def test_recurrence_seeds():
+    for k in range(2, 61):
+        assert _defining_sum(k, k - 1) == 0, k
+        assert _defining_sum(k, k) == alt_sign(k) == sixj_row(k, k, k)[0], k
+        # the first stepped value; it vanishes only at k = 2, the (2, 3) zero
+        s = alt_sign(k) * (k + 1) ** 2 * (k - 2)
+        assert _defining_sum(k, k + 1) == s == sixj_row(k, k + 1, k + 1)[0], k
 
 
 def test_grid_signs_match_definition():
