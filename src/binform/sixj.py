@@ -19,7 +19,6 @@ in process on a 2-vCPU Xeon VM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import mul
 
@@ -121,18 +120,41 @@ def scan_zeros(k_max: int, n_max: int, k_min: int = 2) -> list[tuple[int, int]]:
     return [(k, n) for k, row in rows for n, v in enumerate(row, start=k) if v == 0]
 
 
-@dataclass(frozen=True)
 class SignGrid:
     """Signs of S over a rectangle of (k, n) pairs.
 
     Cell (r, c), both 1-based with (1, 1) top left, holds the sign of
     S(r + 1, r + c): row r fixes k = r + 1, and column c sets n = r + c,
-    so every cell satisfies n >= k and c = 1 starts at n = k.
+    so every cell satisfies n >= k and c = 1 starts at n = k.  A grid is
+    immutable, equal to a grid with the same fields, and hashable.
     """
 
-    rows: int
-    cols: int
-    cells: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "cells")
+
+    def __init__(self, rows: int, cols: int, cells: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "cells", cells)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable SignGrid")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable SignGrid")
+
+    def _fields(self) -> tuple:
+        return (self.rows, self.cols, self.cells)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"SignGrid(rows={self.rows!r}, cols={self.cols!r}, cells={self.cells!r})"
 
     def cell(self, r: int, c: int) -> int:
         if not (1 <= r <= self.rows and 1 <= c <= self.cols):
@@ -140,15 +162,13 @@ class SignGrid:
         return self.cells[r - 1][c - 1]
 
 
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
 def sign_grid(rows: int = 201, cols: int = 201) -> SignGrid:
     """Compute the sign grid, row r holding k = r + 1, one `sixj_row` per row."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be >= 1")
-    cells = tuple(tuple(map(_sign, sixj_row(r + 1, r + 1, r + cols))) for r in range(1, rows + 1))
+    cells = tuple(
+        tuple([(v > 0) - (v < 0) for v in sixj_row(r + 1, r + 1, r + cols)]) for r in range(1, rows + 1)
+    )
     return SignGrid(rows=rows, cols=cols, cells=cells)
 
 
@@ -164,11 +184,9 @@ def zero_cells(grid: SignGrid) -> list[tuple[int, int]]:
 def grid_to_ppm(grid: SignGrid) -> str:
     """ASCII PPM (P3) rendering, one pixel triple per line, bit-exact:
     zero is white, positive light gray, negative dark gray."""
-    lines = [f"P3\n{grid.cols} {grid.rows}\n255\n"]
-    for row in grid.cells:
-        for v in row:
-            lines.append(PPM_COLORS[v] + "\n")
-    return "".join(lines)
+    line = {v: color + "\n" for v, color in PPM_COLORS.items()}
+    pixels = "".join([line[v] for row in grid.cells for v in row])
+    return f"P3\n{grid.cols} {grid.rows}\n255\n" + pixels
 
 
 def grid_to_csv(grid: SignGrid) -> str:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import alt_sign, binom_ext
@@ -44,24 +43,26 @@ from .forms import BinaryForm
 from .polyring import FIELD_BITS, MultiPoly, _check_degree, _mac, _poly
 
 
-@dataclass
 class BracketMonomial:
     """Letters in a fixed order, bracket exponents on ordered pairs, x powers.
 
     Edge keys are normalized so the first letter precedes the second in the
     letter order; a reversed input pair (v u)^e contributes the sign (-1)^e.
     Homogeneity is enforced: for each letter, incident bracket exponents
-    plus its x power must equal its degree tag.
+    plus its x power must equal its degree tag.  Two monomials are equal
+    when all five fields are; a monomial is mutable and so not hashable.
     """
 
-    letters: tuple[str, ...]
-    degrees: dict[str, int]
-    edges: dict[tuple[str, str], int] = field(default_factory=dict)
-    x_powers: dict[str, int] = field(default_factory=dict)
-    coeff: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        self.letters = tuple(self.letters)
+    def __init__(
+        self,
+        letters: tuple[str, ...],
+        degrees: dict[str, int],
+        edges: dict[tuple[str, str], int] | None = None,
+        x_powers: dict[str, int] | None = None,
+        coeff: Fraction = Fraction(1),
+    ):
+        self.letters = tuple(letters)
+        self.degrees = degrees
         if len(set(self.letters)) != len(self.letters):
             raise ValueError("duplicate letters")
         pos = {u: t for t, u in enumerate(self.letters)}
@@ -69,8 +70,8 @@ class BracketMonomial:
             if u not in pos:
                 raise ValueError(f"degree tag for unknown letter {u!r}")
         norm: dict[tuple[str, str], int] = {}
-        coeff = Fraction(self.coeff)
-        for (u, v), e in self.edges.items():
+        coeff = Fraction(coeff)
+        for (u, v), e in (edges or {}).items():
             if u not in pos or v not in pos or u == v:
                 raise ValueError(f"bad bracket pair ({u!r}, {v!r})")
             if not isinstance(e, int) or e < 0:
@@ -84,7 +85,7 @@ class BracketMonomial:
         self.edges = norm
         self.coeff = coeff
         xp = {}
-        for u, w in self.x_powers.items():
+        for u, w in (x_powers or {}).items():
             if u not in pos:
                 raise ValueError(f"x power on unknown letter {u!r}")
             if not isinstance(w, int) or w < 0:
@@ -98,6 +99,22 @@ class BracketMonomial:
                     f"letter {u!r}: bracket exponents plus x power "
                     f"{self.valence(u)} != degree {self.degrees.get(u)}"
                 )
+
+    def _fields(self) -> tuple:
+        return (self.letters, self.degrees, self.edges, self.x_powers, self.coeff)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"BracketMonomial(letters={self.letters!r}, degrees={self.degrees!r}, "
+            f"edges={self.edges!r}, x_powers={self.x_powers!r}, coeff={self.coeff!r})"
+        )
 
     def valence(self, u: str) -> int:
         v = self.x_powers.get(u, 0)

@@ -3,9 +3,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -403,13 +406,13 @@ def argparse_result(argv: list[str]):
             return exc.code
 
 
-def assert_fast_parse_agrees(argv: list[str]) -> argparse.Namespace | None:
+def assert_fast_parse_agrees(argv: list[str]) -> SimpleNamespace | None:
     fast = fast_parse(list(argv))
     slow = argparse_result(list(argv))
     if not isinstance(slow, argparse.Namespace):
         assert fast is None, (argv, slow)
     elif fast is not None:
-        assert fast == slow, argv
+        assert vars(fast) == vars(slow), argv
     return fast
 
 
@@ -529,3 +532,52 @@ def test_help_and_bad_flags_take_the_argparse_route(argv, code, monkeypatch, cap
         main(argv)
     assert exc.value.code == code
     assert len(made) >= 1
+
+
+# -- cold start ---------------------------------------------------------------
+#
+# ``import binform.cli`` loads every binform module, so a process forked
+# after it (perfbench's task server) compiles none of them per task, and
+# none of the stdlib that only help and errors, or no task at all, need.
+
+BINFORM_MODULES = sorted(
+    "binform." + path.stem for path in Path(cli.__file__).parent.glob("*.py") if path.stem != "__init__"
+)
+COLD_START_UNUSED = ("argparse", "ast", "dataclasses", "dis", "inspect", "tokenize")
+
+
+def _cold_modules(code: str) -> dict:
+    """Run ``code`` in a new ``python -S`` (no site-packages) and return its
+    last stdout line as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cold_import_loads_every_binform_module_and_no_unused_stdlib():
+    assert len(BINFORM_MODULES) == 10
+    loaded = _cold_modules(
+        "import json, sys; import binform.cli; print(json.dumps(sorted(sys.modules)))"
+    )
+    assert [m for m in BINFORM_MODULES if m not in loaded] == []
+    assert [m for m in COLD_START_UNUSED if m in loaded] == []
+
+
+@pytest.mark.parametrize("argv,argparse_loaded", [
+    (["sixj", "value", "--k", "2", "--n", "3"], False),
+    (["--help"], True),
+], ids=("valid-argv", "help"))
+def test_argparse_loads_only_on_the_help_and_error_route(argv, argparse_loaded):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from binform.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        main({argv!r})\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(json.dumps({'argparse': 'argparse' in sys.modules}))\n"
+    )
+    assert _cold_modules(code) == {"argparse": argparse_loaded}

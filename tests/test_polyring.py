@@ -71,6 +71,42 @@ def test_canonical_str_is_sorted():
     assert str(p) == "1*f0*f1 + 1*f2 + 5"
 
 
+def _str_from_canonical_terms(p: MultiPoly) -> str:
+    """The canonical text rebuilt from ``canonical_terms``, one Fraction per term."""
+    parts = []
+    for exp, c in p.canonical_terms():
+        factors = [str(c)]
+        for name, e in zip(p.vars, exp):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"
+
+
+def test_str_against_canonical_terms():
+    rng = random.Random(16)
+    dens = [1, 1, 2, 3, 6, 10, 7 ** 30]
+    for case in range(200):
+        names = tuple(f"f{i}" for i in range(rng.randint(1, 13)))
+        kind = case % 4
+        if kind == 0:  # the zero polynomial
+            terms = {}
+        elif kind == 1:  # a constant
+            terms = {(0,) * len(names): Fraction(rng.randint(-9, 9), rng.choice(dens))}
+        else:  # negative, non-integer and integer coefficients over shared and coprime denominators
+            terms = {}
+            for _ in range(rng.randint(1, 8)):
+                exp = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in names)
+                terms[exp] = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice(dens))
+        p = MultiPoly(names, terms)
+        if kind == 3:
+            p = p * Fraction(rng.randint(-5, 5) or 1, rng.choice(dens)) + 1
+        assert str(p) == _str_from_canonical_terms(p), (case, terms)
+    assert str(MultiPoly(V3, {(1, 0, 0): 1}) - _var(0)) == "0"
+
+
 @pytest.mark.parametrize("exp", [(-1, 0), (1.5, 0), (True, 0), (0, False), (1, "2"), (Fraction(1), 0)])
 def test_exponents_must_be_nonnegative_ints(exp):
     with pytest.raises(ValueError, match="nonnegative ints"):

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from binform import sixj
 from binform.exactnum import alt_sign
 from binform.forms import generic_form
 from binform.invariants import trace_invariant
@@ -211,6 +216,30 @@ def test_zero_cells_small_window():
 
 def test_grid_is_deterministic():
     assert sign_grid(rows=4, cols=4) == sign_grid(rows=4, cols=4)
+
+
+def test_grid_is_a_value():
+    grid = sign_grid(rows=2, cols=3)
+    same = SignGrid(rows=2, cols=3, cells=((1, 0, -1), (-1, -1, 1)))
+    assert grid == same and hash(grid) == hash(same) and len({grid, same}) == 1
+    assert grid != SignGrid(rows=2, cols=3, cells=((1, 0, -1), (-1, -1, -1)))
+    assert grid != sign_grid(rows=3, cols=3) and grid != (2, 3, grid.cells)
+    assert repr(grid) == "SignGrid(rows=2, cols=3, cells=((1, 0, -1), (-1, -1, 1)))"
+    for change in (lambda: setattr(grid, "rows", 5), lambda: delattr(grid, "cells"),
+                   lambda: setattr(grid, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert grid == same
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit to lift")
+def test_importing_sixj_alone_lifts_the_digit_limit():
+    env = dict(os.environ, PYTHONPATH=str(Path(sixj.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, binform.sixj; print(sys.get_int_max_str_digits())"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out == "0\n"
 
 
 GOLDEN_PPM = (

@@ -138,6 +138,23 @@ def test_parse_whitespace_and_commas():
     assert a == b
 
 
+def test_monomial_equality_repr_and_defaults():
+    a = BracketMonomial(("a", "b"), {"a": 2, "b": 2}, {("b", "a"): 2})
+    assert a == BracketMonomial(("a", "b"), {"a": 2, "b": 2}, {("a", "b"): 2}, {}, Fraction(1))
+    assert a != BracketMonomial(("a", "b"), {"a": 2, "b": 2}, {("a", "b"): 2}, coeff=Fraction(2))
+    assert a != BracketMonomial(("b", "a"), {"a": 2, "b": 2}, {("b", "a"): 2})
+    assert a != (("a", "b"), {"a": 2, "b": 2}, {("a", "b"): 2}, {}, Fraction(1))
+    assert repr(a) == (
+        "BracketMonomial(letters=('a', 'b'), degrees={'a': 2, 'b': 2}, "
+        "edges={('a', 'b'): 2}, x_powers={}, coeff=Fraction(1, 1))"
+    )
+    with pytest.raises(TypeError):
+        hash(a)
+    b = BracketMonomial(("a", "b"), {"a": 2, "b": 2}, {("a", "b"): 2})
+    b.x_powers["a"] = 1  # defaults are fresh dicts, never shared between monomials
+    assert a.x_powers == {}
+
+
 def test_parse_x_powers_and_default_degree():
     mono = parse_bracket("(a b)^2 a_x^2 b_x^2", default_degree=4)
     assert mono.x_powers == {"a": 2, "b": 2}
