@@ -14,15 +14,19 @@ row r of the Jacobian is a nonzero rational multiple of the integer row
     N_r[s] = sum_{j-i+k=s} (A^(r-1))_ij W_ij,
 
 and one running integer power of A serves every row.  Its products are
-``polyring._times``, the package's one integer matrix product, and the
-form is cleared to F / D_f by ``polyring._cleared_int_rows``.  The exact
-route builds one Fraction per entry of the final matrix; the rank route
-runs the same loop mod a prime (see ``jacobian_rank``).
+``polyring._times``, the package's one integer matrix product, on sparse
+rows (column -> nonzero int), and the form is cleared to F / D_f by
+``polyring._cleared_int_rows``.  The exact route builds one Fraction per
+entry of the final matrix; the rank route runs the same loop mod a prime
+(see ``jacobian_rank``).
 
 Specializing at the nullcone form x1^(k-1) x2^(k+1) collapses each row
 to a single entry with an explicit closed form in N(k, r); the k x k minor
 on columns 0..k-1 is then an antidiagonal determinant, nonzero exactly
-when every N(k, r) is nonzero.
+when every N(k, r) is nonzero.  There A has one nonzero entry per row,
+and so has every power, so each product of the running power costs O(k)
+and the whole witness O(k^2); the certificate's minor is the integer
+antidiagonal product over one denominator, from the N(k, r) it reports.
 """
 
 from __future__ import annotations
@@ -31,13 +35,12 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain
-from operator import add, mul
 
 from .combsum import nkr
 from .exactnum import alt_sign, binom_ext
 from .forms import BinaryForm, random_form, unstable_form
 from .invariants import _check_fk
-from .polyring import RingMatrix, _cleared_int_rows, _times, rank_exact
+from .polyring import RingMatrix, _cleared_int_rows, _dense, _times, rank_exact
 
 # The prime of the modular rank proof: the largest below 2^30, so that a
 # residue fits one 30-bit digit of a Python int and products stay small.
@@ -55,8 +58,9 @@ def _weights(k: int) -> tuple[list[list[int]], int]:
     """
     binoms = [math.comb(2 * k, s) for s in range(2 * k + 1)]
     e = math.lcm(*binoms)
-    w = [[alt_sign(k - i) * math.comb(k, j) * (e // binoms[j - i + k]) for j in range(k + 1)] for i in range(k + 1)]
-    return w, e
+    quotients = [e // b for b in binoms]
+    combs = [math.comb(k, j) for j in range(k + 1)]
+    return [[alt_sign(k - i) * c * q for c, q in zip(combs, quotients[k - i:])] for i in range(k + 1)], e
 
 
 def _gradient_rows(form: BinaryForm, modulus: int | None = None):
@@ -66,37 +70,41 @@ def _gradient_rows(form: BinaryForm, modulus: int | None = None):
     M_ij = f_(i-j+k) W_ji / E is linear in the form, so clearing the form
     to F / D_f gives M = A / D with A_ij = F_(i-j+k) W_ji and D = D_f E.
     The loop carries one integer power P with M^(r-1) = c * P for a
-    rational c, and row[s] = sum_{j-i+k=s} P_ij W_ij.  Exactly (modulus
-    None), P is divided by the gcd of its entries after every product and
-    scale = r * c / E.  With a modulus, P = A^(r-1) and the rows are
-    reduced mod it, no content is taken out, and scale is None: the rows
-    are then the N_r of the module docstring, mod the modulus.
+    rational c, and row[s] = sum_{j-i+k=s} P_ij W_ij.  P is held as sparse
+    rows (``polyring._times``), and the reduction and the row sums touch
+    its nonzero entries only, so at the witness, where every power has at
+    most one nonzero entry per row, a product costs O(k).  Exactly
+    (modulus None), P is divided by the gcd of its entries after every
+    product and scale = r * c / E.  With a modulus, P = A^(r-1) and the
+    rows are reduced mod it, no content is taken out, and scale is None:
+    the rows are then the N_r of the module docstring, mod the modulus.
     """
     if not form.is_numeric():
         raise ValueError("the Jacobian is evaluated at numeric forms")
     k = _check_fk(form, form.degree // 2)
+    n = k + 1
     w, e = _weights(k)
     (f,), (fden,) = _cleared_int_rows([form.coeffs])
-    a = [[f[i - j + k] * w[j][i] for j in range(k + 1)] for i in range(k + 1)]
+    support = [s for s, x in enumerate(f) if x]
+    a = [{j: f[s] * w[j][i] for s in support if 0 <= (j := i - s + k) <= k} for i in range(n)]
     d = fden * e  # M = A / d
     if modulus is not None:
-        a = [[x % modulus for x in row] for row in a]
+        a = [{j: v for j, x in row.items() if (v := x % modulus)} for row in a]
         w = [[x % modulus for x in row] for row in w]
-    cols = list(zip(*a))
+    cols = list(zip(*[_dense(row, n) for row in a]))
     power, c = a, Fraction(1, d)
     for r in range(2, k + 2):
         if r > 2:
-            power = _times(power, a, cols)
-            if modulus is not None:
-                power = [[x % modulus for x in row] for row in power]
-            else:
-                g = math.gcd(*chain.from_iterable(power)) or 1
+            power = _times(power, a, cols, modulus)
+            if modulus is None:
+                g = math.gcd(*chain.from_iterable(row.values() for row in power)) or 1
                 if g > 1:
-                    power = [[x // g for x in row] for row in power]
+                    power = [{j: x // g for j, x in row.items()} for row in power]
                 c *= Fraction(g, d)
         row = [0] * (2 * k + 1)
-        for i, (prow, wrow) in enumerate(zip(power, w)):
-            row[k - i:2 * k + 1 - i] = map(add, row[k - i:2 * k + 1 - i], map(mul, prow, wrow))
+        for shift, prow, wrow in zip(range(k, -1, -1), power, w):  # s = j + k - i
+            for j, x in prow.items():
+                row[j + shift] += x * wrow[j]
         if modulus is None:
             yield r * c / e, row
         else:
@@ -173,6 +181,18 @@ def jacobian_unstable_closed(k: int) -> RingMatrix:
     return RingMatrix(rows)
 
 
+def _antidiagonal_minor(k: int, nkrs: list[int]) -> Fraction:
+    """``unstable_minor(k)`` from N(k, 2), ..., N(k, k+1), in integers and
+    one Fraction: the entries of ``jacobian_unstable_closed`` multiplied
+    out, their denominators C(2k, k+r-1) C(2k, k+1)^(r-1) together."""
+    num = alt_sign(k * (k - 1) // 2)
+    den = math.comb(2 * k, k + 1) ** (k * (k + 1) // 2)
+    for r, v in enumerate(nkrs, 2):
+        num *= r * alt_sign(r * (r - 1) // 2) * v
+        den *= math.comb(2 * k, k + r - 1)
+    return Fraction(num, den)
+
+
 def unstable_minor(k: int) -> Fraction:
     """Determinant of columns 0..k-1 of the closed-form Jacobian.
 
@@ -180,8 +200,9 @@ def unstable_minor(k: int) -> Fraction:
     the antidiagonal product, signed by the order-reversing permutation
     of k columns: (-1)^C(k,2).
     """
-    full = jacobian_unstable_closed(k)
-    return alt_sign(k * (k - 1) // 2) * math.prod(full[r - 2, k - r + 1] for r in range(2, k + 2))
+    if k < 2 or k % 2:
+        raise ValueError("k must be an even integer >= 2")
+    return _antidiagonal_minor(k, [nkr(k, r) for r in range(2, k + 2)])
 
 
 def independence_certificate(k: int, include_random_point: bool = False, seed: int = 0) -> dict:
@@ -190,15 +211,15 @@ def independence_certificate(k: int, include_random_point: bool = False, seed: i
     Both ranks come from ``jacobian_rank``."""
     witness = unstable_form(k)
     rank = jacobian_rank(witness)
-    minor = unstable_minor(k)
+    nkrs = [nkr(k, r) for r in range(2, k + 2)]
     report = {
         "k": k,
         "degree": 2 * k,
         "witness": {"d": 2 * k, "coeffs": [str(c) for c in witness.coeffs]},
         "rank": rank,
         "expected": k,
-        "minor": str(minor),
-        "N": {str(r): str(nkr(k, r)) for r in range(2, k + 2)},
+        "minor": str(_antidiagonal_minor(k, nkrs)),
+        "N": {str(r): str(v) for r, v in enumerate(nkrs, 2)},
         "pass": rank == k,
     }
     if include_random_point:

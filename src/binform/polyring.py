@@ -32,16 +32,19 @@ factors.  MultiPoly * is the one-pair sum; a polynomial matrix product
 is one sum per entry, and so is the trace pairing ``trace_product``.
 
 RingMatrix is a dense 2-D array whose entries are Fractions or MultiPolys
-over one shared variable list.  The product of two rational matrices runs
-over Z: the left operand's rows and the right operand's columns are
-scaled by the lcm of their denominators, the integer product ``_times``
-is taken, and one Fraction per entry undoes the scaling.  ``_times`` is
-the one integer matrix product of the package (the Jacobian's running
-power uses it too): a row with few nonzero entries combines the rows of
-the right operand it selects, a denser row takes dot products with the
+over one shared variable list.  A rational matrix is cleared once to
+M = A / D, A sparse integer rows (dicts from column to nonzero int) and D
+one positive denominator, and stays so through products: the product of
+A / D and B / E is (A @ B) / (D E), so a running power is a chain of
+integer products over D, D^2, ..., and a trace of a product is one
+integer pairing and one Fraction.  Fraction entries are built only when
+``rows`` is read.  ``_times`` is the one integer matrix product of the
+package (the Jacobian's running power uses it too, mod a prime): a row
+with few nonzero entries combines the nonzero entries of the rows of the
+right operand it selects, a denser row takes dot products with the
 columns.  A matrix keeps its columns as it was last prepared as a right
-factor (cleared to integers, or lifted to MultiPolys), so a running power
-prepares M once.  The characteristic polynomial comes from the
+factor (dense integer columns, or lifted to MultiPolys), so a running
+power prepares M once.  The characteristic polynomial comes from the
 trace-power (Newton) recurrence, whose divisions are by integers, so one
 loop serves rational and MultiPoly entries alike; its traces pair
 M, ..., M^ceil(n/2).
@@ -56,7 +59,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul
+from operator import itemgetter, mul
 
 from .exactnum import alt_sign
 
@@ -354,9 +357,11 @@ class RingMatrix:
 
     Rectangular shapes are allowed; multiplication, powers, trace and the
     characteristic polynomial require the obvious squareness/compatibility.
+    A rational matrix is also held as A / D (``_integral``), and a product
+    of two is made in that form alone.
     """
 
-    __slots__ = ("rows", "_vars", "_cols")
+    __slots__ = ("nrows", "ncols", "_rows", "_vars", "_ints", "_cols")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -365,7 +370,8 @@ class RingMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        self.rows = rows
+        self.nrows, self.ncols = len(rows), width
+        self._rows = rows
         # the variable list of the MultiPoly entries, None when all are rational
         self._vars = None
         for row in rows:
@@ -375,15 +381,27 @@ class RingMatrix:
                         self._vars = c.vars
                 elif not isinstance(c, (int, Fraction)):
                     raise TypeError(f"matrix entries must be rational or MultiPoly, got {c!r}")
+        self._ints = None  # see _integral
         self._cols = None  # see _columns
 
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    @classmethod
+    def _cleared(cls, ints: list[dict], den: int, ncols: int) -> "RingMatrix":
+        """The rational matrix ints / den, from sparse integer rows."""
+        out = object.__new__(cls)
+        out.nrows, out.ncols = len(ints), ncols
+        out._rows = out._vars = out._cols = None
+        out._ints = ints, den
+        return out
 
     @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
+    def rows(self) -> tuple:
+        """The entries, row by row; built on first access for a product."""
+        if self._rows is None:
+            ints, den = self._ints
+            zero = Fraction(0)
+            self._rows = tuple(tuple(Fraction(row[j], den) if j in row else zero for j in range(self.ncols))
+                               for row in ints)
+        return self._rows
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -401,18 +419,27 @@ class RingMatrix:
 
     __hash__ = None
 
+    def _integral(self) -> tuple[list[dict], int]:
+        """(A, D) with this rational matrix equal to A / D: D the lcm of the
+        entries' denominators, and each row of A a dict from column to
+        nonzero int.  Made once."""
+        if self._ints is None:
+            den = math.lcm(*[c.denominator for row in self._rows for c in row])
+            self._ints = [{j: c.numerator * (den // c.denominator) for j, c in enumerate(row) if c}
+                          for row in self._rows], den
+        return self._ints
+
     def _columns(self, variables):
         """This matrix prepared as the right factor of products over
         ``variables``, and kept: a running power multiplies by the same
-        matrix at every step.  Over Q (``variables`` None) it is cleared to
-        integers by columns, as ``_cleared_product`` takes it; over a
-        polynomial ring each column is the list of its nonzero entries as
-        (row index, MultiPoly), rationals lifted to constants."""
+        matrix at every step.  Over Q (``variables`` None) it is the dense
+        integer columns of A (``_integral``); over a polynomial ring each
+        column is the list of its nonzero entries as (row index, MultiPoly),
+        rationals lifted to constants."""
         cols = self._cols
         if cols is None or cols[0] != variables:
             if variables is None:
-                ints, dens = _cleared_int_rows(zip(*self.rows))
-                cols = None, (list(zip(*ints)), ints, dens)
+                cols = None, list(zip(*[_dense(row, self.ncols) for row in self._integral()[0]]))
             else:
                 cols = variables, [
                     [(t, c if isinstance(c, MultiPoly) else MultiPoly.const(variables, c))
@@ -432,7 +459,8 @@ class RingMatrix:
         variables = self._ring(other)
         right = other._columns(variables)
         if variables is None:
-            return RingMatrix(_cleared_product(self.rows, right))
+            (a, d), (b, e) = self._integral(), other._integral()
+            return RingMatrix._cleared(_times(a, b, right), d * e, other.ncols)
         zero = Fraction(0)
         out = []
         for row in self.rows:
@@ -454,9 +482,12 @@ class RingMatrix:
             yield power
 
     def trace(self):
+        """The sum of the diagonal: a Fraction, or a MultiPoly when the
+        matrix has polynomial entries."""
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
+        zero = Fraction(0) if self._vars is None else MultiPoly.zero(self._vars)
+        return sum((self.rows[i][i] for i in range(self.nrows)), zero)
 
     def __repr__(self):
         return f"RingMatrix({self.nrows}x{self.ncols})"
@@ -465,21 +496,22 @@ class RingMatrix:
 def trace_product(a: RingMatrix, b: RingMatrix, variables=None):
     """tr(a @ b) = sum_ij a_ij b_ji, without forming the product.
 
-    When every entry is rational and ``variables`` is None, row i of a and
-    column i of b are cleared to integers, and each i gives one integer dot
-    product and one Fraction.  Otherwise every nonzero product goes into
-    one fused sum over ``variables`` (by default, the entries' variable
-    list), and the value is a MultiPoly, zero included.
+    When every entry is rational and ``variables`` is None, the value is
+    one integer pairing of A's rows with B's columns over the two
+    denominators (a = A / D, b = B / E), and one Fraction.  Otherwise every
+    nonzero product goes into one fused sum over ``variables`` (by default,
+    the entries' variable list), and the value is a MultiPoly, zero
+    included.
     """
     if a.ncols != b.nrows or a.nrows != b.ncols:
         raise ValueError("dimension mismatch in trace of a product")
     if variables is None:
         variables = a._ring(b)
     if variables is None:
-        rows, row_dens = _cleared_int_rows(a.rows)
-        _, cols, col_dens = b._columns(None)
-        return sum((Fraction(sum(map(mul, r, c)), d * e)
-                    for r, c, d, e in zip(rows, cols, row_dens, col_dens)), Fraction(0))
+        (rows, d), (_, e) = a._integral(), b._integral()
+        cols = b._columns(None)
+        return Fraction(sum(sum(map(mul, row.values(), map(col.__getitem__, row))) for row, col in zip(rows, cols)),
+                        d * e)
     pairs = [(x, y) if isinstance(x, MultiPoly) else (y, x)
              for row, col in zip(a.rows, b._columns(variables)) for j, y in col if (x := row[j])]
     return _dot(variables, pairs)
@@ -495,24 +527,28 @@ def charpoly(m: RingMatrix) -> list:
     anything else, a float say, with TypeError).  The leading 1 is a
     Fraction.  The traces come from M, ..., M^ceil(n/2) alone, two powers
     held at a time: tr(M^j) is the pairing ``trace_product`` of
-    M^ceil(j/2) with M^floor(j/2).
+    M^ceil(j/2) with M^floor(j/2).  Over Q the powers are integer matrices
+    over D, D^2, ... (``RingMatrix._integral``) and each trace is one
+    integer pairing; over Q[f0..fd] each sum of the recurrence is one
+    fused ``_dot``.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.nrows
+    variables = m._vars
     traces = []
     prev = None
     for a, power in enumerate(m.powers((n + 1) // 2), 1):
         # tr(M^(2a-1)) pairs M^a with M^(a-1), tr(M^(2a)) pairs M^a with itself
-        traces.append(m.trace() if prev is None else trace_product(power, prev, m._vars))
+        traces.append(m.trace() if prev is None else trace_product(power, prev, variables))
         if 2 * a <= n:
-            traces.append(trace_product(power, power, m._vars))
+            traces.append(trace_product(power, power, variables))
         prev = power
+    signed = [-t if j % 2 else t for j, t in enumerate(traces)]  # (-1)^(j-1) tr(M^j) at j - 1
     e = [Fraction(1)]
     for i in range(1, n + 1):
-        s = Fraction(0)
-        for j in range(1, i + 1):
-            s += alt_sign(j - 1) * e[i - j] * traces[j - 1]
+        # sum_{j=1..i} (-1)^(j-1) tr(M^j) e_(i-j): zip and map stop at e_0
+        s = sum(map(mul, signed, reversed(e))) if variables is None else _dot(variables, zip(signed, reversed(e)))
         e.append(s / i)
     return [alt_sign(n - p) * e[n - p] for p in range(n + 1)]
 
@@ -533,38 +569,33 @@ def _cleared_int_rows(rows):
     return out, mults
 
 
-def _times(a: list[list[int]], b: list[list[int]], b_cols) -> list[list[int]]:
-    """The integer product a @ b, given b's columns too.  A row of a with
-    few nonzero entries (the Jacobian witness's powers have one per row)
-    combines the rows of b it selects; a denser row takes dot products
-    with the columns."""
+def _dense(row: dict, n: int) -> list[int]:
+    """A sparse integer row as a list of its n entries."""
+    return list(map(row.get, range(n), repeat(0)))
+
+
+def _times(a: list[dict], b: list[dict], b_cols, modulus: int | None = None) -> list[dict]:
+    """The integer product a @ b of sparse rows (dicts from column to
+    nonzero int), given b's dense columns too, and reduced mod
+    ``modulus`` if one is given.  A row of a with fewer nonzero entries
+    than half its length (the Jacobian witness's powers have at most one)
+    combines the nonzero entries of the rows of b it selects; a denser row
+    takes dot products with the columns.  Entries that vanish are dropped."""
+    n = len(b)
     out = []
     for row in a:
-        picked = [(x, b[j]) for j, x in enumerate(row) if x]
-        if 2 * len(picked) < len(row):
-            acc = [0] * len(b_cols)
-            for x, brow in picked:
-                acc = list(map(add, acc, map(mul, brow, repeat(x))))
-            out.append(acc)
+        if 2 * len(row) < n:
+            acc = {}
+            get = acc.get
+            for j, x in row.items():
+                for t, y in b[j].items():
+                    acc[t] = get(t, 0) + x * y
+            sums = acc.items()
         else:
-            out.append([sum(map(mul, row, col)) for col in b_cols])
+            row = _dense(row, n)
+            sums = enumerate([sum(map(mul, row, col)) for col in b_cols])
+        out.append({t: r for t, v in sums if (r := v % modulus)} if modulus else dict(filter(itemgetter(1), sums)))
     return out
-
-
-def _cleared_product(a_rows, right):
-    """Entries of the rational product a @ b, computed over Z.
-
-    Row i of a is scaled to integers by its denominator lcm d_i, column j
-    of b likewise by e_j, and (a @ b)_ij = (A @ B)_ij / (d_i e_j) for the
-    cleared integer matrices A and B, whose product ``_times`` takes.
-    ``right`` is b as ``RingMatrix._columns`` clears it: B's rows, B's
-    columns and the e_j.
-    """
-    b, bt, col_dens = right
-    a, row_dens = _cleared_int_rows(a_rows)
-    zero = Fraction(0)
-    return [[Fraction(s, d * e) if s else zero for s, e in zip(row, col_dens)]
-            for row, d in zip(_times(a, b, bt), row_dens)]
 
 
 def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:

@@ -17,7 +17,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .exactnum import alt_sign, binom_ext, fact_ext, fact_product
+from .exactnum import alt_sign, binom_ext, fact_ext
 from .forms import BinaryForm, convolve
 
 
@@ -51,16 +51,20 @@ def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
 def t_coeff(i: int, j: int, m: int, n: int, k: int) -> Fraction:
     """Coefficient T with (x1^(m-i) x2^i, x1^(n-j) x2^j)_k = T x1^(m+n-k-i-j) x2^(i+j-k).
 
-    The internal sum runs over max(0, k-j, k-m+i) <= l <= min(i, n-j, k),
-    which is exactly the support forced by the extended factorial
-    convention; outside it some inverse factorial vanishes.
+    The transvectant formula applied to two monomials, as one integer sum
+
+        T = (m-k)! (n-k)! / (m! n!) * sum_l (-1)^l C(k, l)
+            * perm(m-i, k-l) perm(i, l) * perm(n-j, l) perm(j, k-l)
+
+    (the falling factorials are the derivatives of the monomials) and one
+    Fraction.  The sum runs over max(0, k-j, k-m+i) <= l <= min(i, n-j, k),
+    exactly the l for which no falling factorial vanishes.
     """
     if not (0 <= i <= m and 0 <= j <= n):
         raise ValueError(f"monomial indices ({i}, {j}) out of range for orders ({m}, {n})")
     if not 0 <= k <= min(m, n):
         raise ValueError(f"transvectant index {k} out of range for orders ({m}, {n})")
-    pre = fact_product([m - k, n - k, k, i, m - i, j, n - j], [m, n])
-    total = Fraction(0)
-    for l in range(max(0, k - j, k - m + i), min(i, n - j, k) + 1):
-        total += alt_sign(l) * fact_product([], [l, k - l, i - l, n - j - l, j - k + l, m - i - k + l])
-    return pre * total
+    total = sum(alt_sign(l) * math.comb(k, l) * math.perm(m - i, k - l) * math.perm(i, l)
+                * math.perm(n - j, l) * math.perm(j, k - l)
+                for l in range(max(0, k - j, k - m + i), min(i, n - j, k) + 1))
+    return Fraction(total * math.factorial(m - k) * math.factorial(n - k), math.factorial(m) * math.factorial(n))

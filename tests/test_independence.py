@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from binform import independence
 from binform.combsum import nkr
+from binform.exactnum import alt_sign
 from binform.forms import BinaryForm, generic_form, random_form, unstable_form
 from binform.independence import (
     RANK_PRIME,
@@ -15,7 +17,7 @@ from binform.independence import (
     unstable_minor,
 )
 from binform.invariants import trace_invariant, transvection_matrix
-from binform.polyring import RingMatrix, det_exact, rank_exact
+from binform.polyring import RingMatrix, _cleared_int_rows, det_exact, rank_exact
 from binform.transvect import t_coeff
 
 
@@ -211,3 +213,84 @@ def test_preconditions():
         jacobian_unstable_closed(3)
     with pytest.raises(ValueError):
         independence_certificate(5)
+
+
+def _dense_gradient_rows(form, modulus=None):
+    """``independence._gradient_rows`` by a dense running power: every entry
+    of every power is multiplied, reduced and summed, zeros included."""
+    k = form.degree // 2
+    binoms = [math.comb(2 * k, s) for s in range(2 * k + 1)]
+    e = math.lcm(*binoms)
+    w = [[alt_sign(k - i) * math.comb(k, j) * (e // binoms[j - i + k]) for j in range(k + 1)] for i in range(k + 1)]
+    (f,), (fden,) = _cleared_int_rows([form.coeffs])
+    a = [[f[i - j + k] * w[j][i] for j in range(k + 1)] for i in range(k + 1)]
+    d = fden * e
+    if modulus is not None:
+        a = [[x % modulus for x in row] for row in a]
+        w = [[x % modulus for x in row] for row in w]
+    power, c = a, Fraction(1, d)
+    out = []
+    for r in range(2, k + 2):
+        if r > 2:
+            power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in power]
+            if modulus is not None:
+                power = [[x % modulus for x in row] for row in power]
+            else:
+                g = math.gcd(*(x for row in power for x in row)) or 1
+                power = [[x // g for x in row] for row in power]
+                c *= Fraction(g, d)
+        row = [0] * (2 * k + 1)
+        for i in range(k + 1):
+            for j in range(k + 1):
+                row[j - i + k] += power[i][j] * w[i][j]
+        out.append((r * c / e, row) if modulus is None else (None, [x % modulus for x in row]))
+    return out
+
+
+def _sparse_form(k, rng, nonzero):
+    """A form with ``nonzero`` rational coefficients at seeded positions."""
+    coeffs = [Fraction(0)] * (2 * k + 1)
+    for s in rng.sample(range(2 * k + 1), nonzero):
+        coeffs[s] = Fraction(rng.choice([-7, -2, -1, 1, 3, 5]), rng.randint(1, 6))
+    return BinaryForm(coeffs)
+
+
+def test_sparse_gradient_rows_against_dense_loop(monkeypatch):
+    # the sparse running power, mod p and exact, against the dense loop:
+    # the witness for every even k <= 30, seeded random forms for k <= 16,
+    # and forms with 1-3 nonzero coefficients, whose power rows fall on
+    # both sides of the density choice in polyring._times
+    routes = set()
+    times = independence._times
+
+    def spy(a, b, b_cols, modulus=None):
+        routes.update("sparse" if 2 * len(row) < len(b) else "dense" for row in a)
+        return times(a, b, b_cols, modulus)
+
+    monkeypatch.setattr(independence, "_times", spy)
+    rng = random.Random(30)
+    sparse = [_sparse_form(k, rng, nz) for k in range(2, 13, 2) for nz in (1, 2, 3) for _ in range(3)]
+    forms = [(unstable_form(k), k <= 12) for k in range(2, 31, 2)]
+    forms += [(random_form(2 * k, rng, bound=b), k <= 10) for k in range(2, 17, 2) for b in (1, 9, 10 ** 6)]
+    forms += [(_rational_form(2 * k, rng), k <= 10) for k in range(2, 17, 2)]
+    for f, exact in forms + [(f, True) for f in sparse]:
+        assert list(independence._gradient_rows(f, RANK_PRIME)) == _dense_gradient_rows(f, RANK_PRIME), f.coeffs
+        if exact:
+            assert list(independence._gradient_rows(f)) == _dense_gradient_rows(f), f.coeffs
+    routes.clear()
+    for f in sparse:
+        list(independence._gradient_rows(f, RANK_PRIME))
+    assert routes == {"sparse", "dense"}
+
+
+def test_certificate_closed_form_against_nkr_and_minor():
+    # the certificate takes N(k, r) once per r for both its "N" map and its
+    # minor; oracles: nkr itself, and the signed antidiagonal product of the
+    # closed-form Jacobian's Fraction entries
+    for k in range(2, 41, 2):
+        cert = independence_certificate(k)
+        assert cert["N"] == {str(r): str(nkr(k, r)) for r in range(2, k + 2)}
+        jac = jacobian_unstable_closed(k)
+        antidiagonal = math.prod(jac[r - 2, k - r + 1] for r in range(2, k + 2))
+        assert cert["minor"] == str(unstable_minor(k)) == str(alt_sign(k * (k - 1) // 2) * antidiagonal)
+        assert cert["rank"] == k and cert["pass"] is True

@@ -181,6 +181,56 @@ def test_generic_octavic_charpoly_against_sympy():
     assert all(sympy.expand(to_sympy(g) - w) == 0 for g, w in zip(got, want))
 
 
+def _fraction_traces(m, p):
+    """tr(M), ..., tr(M^p) by a Fraction matrix power, entry by entry."""
+    rows = [[Fraction(x) for x in row] for row in m.rows]
+    size = range(len(rows))
+    power, traces = rows, []
+    for e in range(p):
+        if e:
+            power = [[sum((power[i][t] * rows[t][j] for t in size), Fraction(0)) for j in size] for i in size]
+        traces.append(sum((power[i][i] for i in size), Fraction(0)))
+    return traces
+
+
+def _rational_forms(d, rng):
+    """Two forms with Fraction coefficients, one of them with zeros, and the zero form."""
+    dense = BinaryForm([Fraction(rng.randint(-9, 9), rng.randint(1, 30)) for _ in range(d + 1)])
+    holes = BinaryForm([Fraction(rng.randint(-5, 5), rng.randint(1, 7)) if rng.random() < 0.5 else 0
+                        for _ in range(d + 1)])
+    return [dense, holes, BinaryForm([0] * (d + 1))]
+
+
+RATIONAL_SHAPES = ((4, 2), (4, 5), (8, 4), (8, 8), (12, 6), (12, 12))
+
+
+@pytest.mark.parametrize("d,n", RATIONAL_SHAPES)
+def test_rational_traces_and_charpoly_against_fraction_powers(d, n):
+    # the integer power chain over D, D^2, ... against Fraction powers; the
+    # charpoly oracle is the Newton recurrence over those Fraction traces
+    for f in _rational_forms(d, random.Random(d * 100 + n)):
+        traces = _fraction_traces(transvection_matrix(f, n), n + 1)
+        values = [trace_invariant(f, n, p) for p in range(1, n + 2)]
+        assert values == traces and all(type(v) is Fraction for v in values)
+        e = [Fraction(1)]
+        for i in range(1, n + 2):
+            e.append(sum((alt_sign(j - 1) * e[i - j] * traces[j - 1] for j in range(1, i + 1)), Fraction(0)) / i)
+        coeffs = charpoly_invariants(f, n)
+        assert coeffs == [alt_sign(n + 1 - p) * e[n + 1 - p] for p in range(n + 2)]
+        assert all(type(c) is Fraction for c in coeffs)
+
+
+def test_rational_charpoly_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    for d, n in RATIONAL_SHAPES:
+        for f in _rational_forms(d, random.Random(d * 1000 + n)):
+            m = transvection_matrix(f, n)
+            oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.rows])
+            want = [Fraction(int(c.p), int(c.q)) for c in reversed(oracle.charpoly(lam).all_coeffs())]
+            assert charpoly_invariants(f, n) == want
+
+
 def test_quartic_identities_symbolic():
     f = generic_form(4)
     assert trace_invariant(f, 2, 2) == transvectant(f, f, 4).constant()

@@ -447,12 +447,21 @@ def test_rational_pairing_against_fraction_oracle():
 def test_running_power_prepares_its_factor_once(monkeypatch):
     import binform.polyring as polyring
 
-    calls = []
-    cleared = polyring._cleared_int_rows
-    monkeypatch.setattr(polyring, "_cleared_int_rows", lambda rows: calls.append(1) or cleared(rows))
+    cleared = []
+    integral = polyring.RingMatrix._integral
+
+    def counted(self):
+        if self._ints is None:
+            cleared.append(self)
+        return integral(self)
+
+    monkeypatch.setattr(polyring.RingMatrix, "_integral", counted)
     m = transvection_matrix(random_form(8, random.Random(5)), 4)
     powers = list(m.powers(6))
-    assert len(calls) == 1 + 5  # M's columns once, then each left factor's rows
+    # M is cleared to A / D once; every power stays integer rows over D^e
+    assert len(cleared) == 1 and cleared[0] is m
+    assert [power._integral()[1] for power in powers] == [m._integral()[1] ** e for e in range(1, 7)]
+    assert m._columns(None) is m._columns(None)
     assert [list(r) for r in powers[-1].rows] == _fraction_product(powers[-2], m)
     f = transvection_matrix(generic_form(8), 4)
     assert f._columns(f._vars) is f._columns(f._vars)

@@ -119,6 +119,32 @@ def test_t_coeff_agrees_with_transvectant_on_monomials():
                         assert got == BinaryForm(expect)
 
 
+def _t_coeff_by_factorials(i, j, m, n, k):
+    """t_coeff as a Fraction sum of extended inverse factorials, term by term."""
+    pre = fact_product([m - k, n - k, k, i, m - i, j, n - j], [m, n])
+    total = Fraction(0)
+    for l in range(max(0, k - j, k - m + i), min(i, n - j, k) + 1):
+        total += (-1) ** l * fact_product([], [l, k - l, i - l, n - j - l, j - k + l, m - i - k + l])
+    return pre * total
+
+
+def test_t_coeff_against_factorial_sum():
+    # the integer falling-factorial sum against the Fraction route, every
+    # argument with m, n <= 12; the uncached function, so no test shares it
+    direct = t_coeff.__wrapped__
+    zero = 0
+    for m in range(13):
+        for n in range(13):
+            for k in range(min(m, n) + 1):
+                for i in range(m + 1):
+                    for j in range(n + 1):
+                        got = direct(i, j, m, n, k)
+                        assert type(got) is Fraction
+                        assert got == _t_coeff_by_factorials(i, j, m, n, k), (i, j, m, n, k)
+                        zero += not got
+    assert zero  # vanishing coefficients are covered too
+
+
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_single_term_closed_form(k):
     # for the (2k, k, k) case the internal sum collapses to one term
