@@ -171,10 +171,6 @@ def _resolve_form(args: SimpleNamespace, d: int) -> tuple[BinaryForm, str]:
     return random_form(d, random.Random(args.seed)), source
 
 
-def _form_report(form: BinaryForm) -> list[str]:
-    return [str(c) for c in form.coeffs]
-
-
 # -- subcommand handlers ---------------------------------------------------
 
 def _run_combsum(args: SimpleNamespace) -> dict:
@@ -209,7 +205,7 @@ def _run_invariant(args: SimpleNamespace) -> dict:
     form, source = _resolve_form(args, args.d)
     report = {"d": args.d, "source": source}
     if source != "generic":
-        report["coeffs"] = _form_report(form)
+        report["coeffs"] = [str(c) for c in form.coeffs]
     if args.invariant_cmd == "P":
         value = invariants.trace_invariant(form, args.n, args.p)
         report.update({"n": args.n, "p": args.p, "value": str(value)})

@@ -47,8 +47,7 @@ def ups_recursive(args) -> int:
                    * ups_{m-1}(l, a3, ..., am)
 
     with base case ups_1(a) = 1{a = 0}.  Memoized on the sorted argument
-    tuple; the memo dict is only ever read or extended, so concurrent use
-    is safe under CPython.
+    tuple.
     """
     key = tuple(sorted(args))
     if not key:

@@ -20,7 +20,11 @@ from .polyring import MultiPoly
 
 
 def _lift(c):
-    return Fraction(c) if isinstance(c, int) else c
+    if isinstance(c, (Fraction, MultiPoly)):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"form coefficients must be rational or MultiPoly, got {c!r}")
 
 
 class BinaryForm:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import chain
 
 from .combsum import nkr
 from .exactnum import alt_sign, binom_ext
@@ -65,19 +64,18 @@ def _weights(k: int) -> tuple[list[list[int]], int]:
 
 def _gradient_rows(form: BinaryForm, modulus: int | None = None):
     """Yield (scale, row) for r = 2..k+1: the gradient of tr(M^r) at the
-    numeric form is scale * row, for an integer row.
+    numeric form is scale * row, for the integer row N_r of the module
+    docstring.
 
     M_ij = f_(i-j+k) W_ji / E is linear in the form, so clearing the form
     to F / D_f gives M = A / D with A_ij = F_(i-j+k) W_ji and D = D_f E.
-    The loop carries one integer power P with M^(r-1) = c * P for a
-    rational c, and row[s] = sum_{j-i+k=s} P_ij W_ij.  P is held as sparse
+    The loop carries one integer running power P = A^(r-1), so
+    M^(r-1) = P / D^(r-1), and row[s] = sum_{j-i+k=s} P_ij W_ij; the
+    scale is then r / (D^(r-1) E) in closed form.  P is held as sparse
     rows (``polyring._times``), and the reduction and the row sums touch
     its nonzero entries only, so at the witness, where every power has at
-    most one nonzero entry per row, a product costs O(k).  Exactly
-    (modulus None), P is divided by the gcd of its entries after every
-    product and scale = r * c / E.  With a modulus, P = A^(r-1) and the
-    rows are reduced mod it, no content is taken out, and scale is None:
-    the rows are then the N_r of the module docstring, mod the modulus.
+    most one nonzero entry per row, a product costs O(k).  With a
+    modulus, P and the rows are reduced mod it and scale is None.
     """
     if not form.is_numeric():
         raise ValueError("the Jacobian is evaluated at numeric forms")
@@ -92,21 +90,16 @@ def _gradient_rows(form: BinaryForm, modulus: int | None = None):
         a = [{j: v for j, x in row.items() if (v := x % modulus)} for row in a]
         w = [[x % modulus for x in row] for row in w]
     cols = list(zip(*[_dense(row, n) for row in a]))
-    power, c = a, Fraction(1, d)
+    power = a
     for r in range(2, k + 2):
         if r > 2:
             power = _times(power, a, cols, modulus)
-            if modulus is None:
-                g = math.gcd(*chain.from_iterable(row.values() for row in power)) or 1
-                if g > 1:
-                    power = [{j: x // g for j, x in row.items()} for row in power]
-                c *= Fraction(g, d)
         row = [0] * (2 * k + 1)
         for shift, prow, wrow in zip(range(k, -1, -1), power, w):  # s = j + k - i
             for j, x in prow.items():
                 row[j + shift] += x * wrow[j]
         if modulus is None:
-            yield r * c / e, row
+            yield Fraction(r, d ** (r - 1) * e), row
         else:
             yield None, [x % modulus for x in row]
 

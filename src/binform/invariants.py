@@ -40,9 +40,12 @@ def transvection_matrix(form: BinaryForm, n: int) -> RingMatrix:
     """Matrix of G |-> (F, G)_k on the order-n space, in the monomial basis.
 
     Entry (i, j) multiplies basis element i in the image of basis element j.
+    An entry that vanishes is the zero of the form's ring: Fraction(0) for
+    a numeric form, the zero MultiPoly for a symbolic one.
     """
     k = _check_fk(form, n)
     d = form.degree
+    zero = next((MultiPoly.zero(c.vars) for c in form.coeffs if isinstance(c, MultiPoly)), Fraction(0))
     rows = []
     for i in range(n + 1):
         row = []
@@ -51,7 +54,7 @@ def transvection_matrix(form: BinaryForm, n: int) -> RingMatrix:
             if 0 <= s <= d and form.coeffs[s]:
                 row.append(form.coeffs[s] * t_coeff(s, j, d, n, k))
             else:
-                row.append(Fraction(0))
+                row.append(zero)
         rows.append(row)
     return RingMatrix(rows)
 
@@ -65,8 +68,9 @@ def trace_invariant(form: BinaryForm, n: int, p: int):
     Computed as sum_ij (M^a)_ij (M^b)_ji with a = ceil(p/2), b = floor(p/2):
     one running power up to M^a, keeping M^b on the way, so ceil(p/2) - 1
     matrix products and one pairing instead of the p - 1 products of M^p.
-    A vanishing value is Fraction(0) for a numeric form and the zero
-    MultiPoly for a symbolic one.
+    The matrix and its powers keep the form's ring, so the value is a
+    Fraction for a numeric form and a MultiPoly for a symbolic one, zero
+    included.
     """
     if p < 1:
         raise ValueError("power must be >= 1")
@@ -75,11 +79,7 @@ def trace_invariant(form: BinaryForm, n: int, p: int):
     for e, power in enumerate(m.powers(a), 1):
         if e == b:
             half = power
-    variables = None if form.is_numeric() else next(c.vars for c in form.coeffs if isinstance(c, MultiPoly))
-    if b == 0:
-        zero = Fraction(0) if variables is None else MultiPoly.zero(variables)
-        return sum((power[i, i] for i in range(n + 1)), zero)
-    return trace_product(power, half, variables)
+    return trace_product(power, half) if b else power.trace()
 
 
 def charpoly_invariants(form: BinaryForm, n: int) -> list:

@@ -31,23 +31,27 @@ over the other factor and keeps the double loop for two many-term
 factors.  MultiPoly * is the one-pair sum; a polynomial matrix product
 is one sum per entry, and so is the trace pairing ``trace_product``.
 
-RingMatrix is a dense 2-D array whose entries are Fractions or MultiPolys
-over one shared variable list.  A rational matrix is cleared once to
-M = A / D, A sparse integer rows (dicts from column to nonzero int) and D
-one positive denominator, and stays so through products: the product of
-A / D and B / E is (A @ B) / (D E), so a running power is a chain of
-integer products over D, D^2, ..., and a trace of a product is one
-integer pairing and one Fraction.  Fraction entries are built only when
-``rows`` is read.  ``_times`` is the one integer matrix product of the
-package (the Jacobian's running power uses it too, mod a prime): a row
-with few nonzero entries combines the nonzero entries of the rows of the
-right operand it selects, a denser row takes dot products with the
-columns.  A matrix keeps its columns as it was last prepared as a right
-factor (dense integer columns, or lifted to MultiPolys), so a running
-power prepares M once.  The characteristic polynomial comes from the
-trace-power (Newton) recurrence, whose divisions are by integers, so one
-loop serves rational and MultiPoly entries alike; its traces pair
-M, ..., M^ceil(n/2).
+RingMatrix is a dense 2-D array whose entries are Fractions or
+MultiPolys over one shared variable list.  A matrix with a MultiPoly
+entry is polynomial, and so are its products: a product entry that
+vanishes is the zero MultiPoly.  Its trace, its trace pairings and its
+characteristic coefficients below the leading 1 are then MultiPolys,
+zero included, and no caller passes a variable list around.  A rational
+matrix is cleared once to M = A / D, A sparse integer rows (dicts from
+column to nonzero int) and D one positive denominator, and stays so
+through products: the product of A / D and B / E is (A @ B) / (D E), so
+a running power is a chain of integer products over D, D^2, ..., and a
+trace of a product is one integer pairing and one Fraction.  Fraction
+entries are built only when ``rows`` is read.  ``_times`` is the one
+integer matrix product of the package (the Jacobian's running power uses
+it too, mod a prime): a row with few nonzero entries combines the
+nonzero entries of the rows of the right operand it selects, a denser
+row takes dot products with the columns.  A matrix keeps its columns as
+it was last prepared as a right factor (dense integer columns, or lifted
+to MultiPolys), so a running power prepares M once.  The characteristic
+polynomial comes from the trace-power (Newton) recurrence, whose
+divisions are by integers, so one loop serves rational and MultiPoly
+entries alike; its traces pair M, ..., M^ceil(n/2).
 Determinant and rank share one fraction-free (Bareiss) elimination on the
 integer matrix obtained by clearing row denominators, so intermediate
 entries never grow fractions; the determinant is 0 when the rank falls
@@ -461,13 +465,12 @@ class RingMatrix:
         if variables is None:
             (a, d), (b, e) = self._integral(), other._integral()
             return RingMatrix._cleared(_times(a, b, right), d * e, other.ncols)
-        zero = Fraction(0)
         out = []
         for row in self.rows:
             line = []
             for col in right:
                 pairs = [(a, b) if isinstance(a, MultiPoly) else (b, a) for t, b in col if (a := row[t])]
-                line.append(_dot(variables, pairs) if pairs else zero)
+                line.append(_dot(variables, pairs))
             out.append(line)
         return RingMatrix(out)
 
@@ -493,20 +496,18 @@ class RingMatrix:
         return f"RingMatrix({self.nrows}x{self.ncols})"
 
 
-def trace_product(a: RingMatrix, b: RingMatrix, variables=None):
+def trace_product(a: RingMatrix, b: RingMatrix):
     """tr(a @ b) = sum_ij a_ij b_ji, without forming the product.
 
-    When every entry is rational and ``variables`` is None, the value is
-    one integer pairing of A's rows with B's columns over the two
-    denominators (a = A / D, b = B / E), and one Fraction.  Otherwise every
-    nonzero product goes into one fused sum over ``variables`` (by default,
-    the entries' variable list), and the value is a MultiPoly, zero
-    included.
+    When every entry is rational, the value is one integer pairing of A's
+    rows with B's columns over the two denominators (a = A / D, b = B / E),
+    and one Fraction.  When either matrix is polynomial, every nonzero
+    product goes into one fused sum over its variable list, and the value
+    is a MultiPoly, zero included.
     """
     if a.ncols != b.nrows or a.nrows != b.ncols:
         raise ValueError("dimension mismatch in trace of a product")
-    if variables is None:
-        variables = a._ring(b)
+    variables = a._ring(b)
     if variables is None:
         (rows, d), (_, e) = a._integral(), b._integral()
         cols = b._columns(None)
@@ -540,9 +541,9 @@ def charpoly(m: RingMatrix) -> list:
     prev = None
     for a, power in enumerate(m.powers((n + 1) // 2), 1):
         # tr(M^(2a-1)) pairs M^a with M^(a-1), tr(M^(2a)) pairs M^a with itself
-        traces.append(m.trace() if prev is None else trace_product(power, prev, variables))
+        traces.append(m.trace() if prev is None else trace_product(power, prev))
         if 2 * a <= n:
-            traces.append(trace_product(power, power, variables))
+            traces.append(trace_product(power, power))
         prev = power
     signed = [-t if j % 2 else t for j, t in enumerate(traces)]  # (-1)^(j-1) tr(M^j) at j - 1
     e = [Fraction(1)]

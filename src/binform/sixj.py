@@ -34,9 +34,9 @@ def _check_pair(k: int, n: int) -> None:
         raise ValueError(f"need n >= k, got (k, n) = ({k}, {n})")
 
 
-def sixj_row(k: int, n_min: int, n_max: int) -> list[int]:
-    """Exact values [S(k, n) for n_min <= n <= n_max], k >= 2, n_min >= k;
-    empty when n_max < n_min.
+def sixj_row(k: int, n_max: int) -> list[int]:
+    """Exact values [S(k, n) for k <= n <= n_max], k >= 2; empty when
+    n_max < k.
 
     The row steps a three-term recurrence in n whose coefficients are
     cubic and do not grow with k.  Its proof, by creative telescoping
@@ -64,11 +64,10 @@ def sixj_row(k: int, n_min: int, n_max: int) -> list[int]:
       S(k, N) is an integer, so each `//` is exact.
 
     Each cell costs two small-by-big multiplications, one subtraction and
-    one exact small division.  A window with n_min > k still steps from
-    n = k and drops the first n_min - k values.
+    one exact small division.
     """
-    _check_pair(k, n_min)
-    if n_max < n_min:
+    _check_pair(k, k)
+    if n_max < k:
         return []
     c = 3 * k * (k + 1)
     prev, cur = 0, alt_sign(k)  # S(k, k-1), S(k, k)
@@ -77,7 +76,7 @@ def sixj_row(k: int, n_min: int, n_max: int) -> list[int]:
         step = big_n * (c - 2 * big_n * big_n) * cur - (big_n + k) ** 3 * prev
         prev, cur = cur, step // (big_n - k) ** 3
         row.append(cur)
-    return row[n_min - k :]
+    return row
 
 
 def sixj_sum(k: int, n: int) -> int:
@@ -110,13 +109,11 @@ def sixj_sum(k: int, n: int) -> int:
     return alt_sign(k + n) * sum(map(mul, b_seq[m0:], a_seq))
 
 
-def scan_zeros(k_max: int, n_max: int, k_min: int = 2) -> list[tuple[int, int]]:
-    """All (k, n) with k_min <= k <= k_max and k <= n <= n_max where S vanishes."""
-    if k_min < 2:
-        raise ValueError(f"need k_min >= 2, got {k_min}")
-    if k_max < k_min:
-        raise ValueError(f"need k_max >= k_min, got {k_max} < {k_min}")
-    rows = ((k, sixj_row(k, k, n_max)) for k in range(k_min, k_max + 1))
+def scan_zeros(k_max: int, n_max: int) -> list[tuple[int, int]]:
+    """All (k, n) with 2 <= k <= k_max and k <= n <= n_max where S vanishes."""
+    if k_max < 2:
+        raise ValueError(f"need k_max >= 2, got {k_max}")
+    rows = ((k, sixj_row(k, n_max)) for k in range(2, k_max + 1))
     return [(k, n) for k, row in rows for n, v in enumerate(row, start=k) if v == 0]
 
 
@@ -167,7 +164,7 @@ def sign_grid(rows: int = 201, cols: int = 201) -> SignGrid:
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be >= 1")
     cells = tuple(
-        tuple([(v > 0) - (v < 0) for v in sixj_row(r + 1, r + 1, r + cols)]) for r in range(1, rows + 1)
+        tuple([(v > 0) - (v < 0) for v in sixj_row(r + 1, r + cols)]) for r in range(1, rows + 1)
     )
     return SignGrid(rows=rows, cols=cols, cells=cells)
 

@@ -112,6 +112,15 @@ def test_json_roundtrip_past_the_int_str_digit_limit():
     assert form_from_json(text) == f
 
 
+def test_form_refuses_other_coefficients():
+    # a float would pass through to the transvectant as an inexact value
+    for bad in (0.5, "1", None, complex(1, 0)):
+        with pytest.raises(TypeError):
+            BinaryForm([1, bad, 2])
+    f = BinaryForm([1, Fraction(1, 2), MultiPoly.variable(("f0",), 0)])
+    assert [type(c) for c in f.coeffs] == [Fraction, Fraction, MultiPoly]
+
+
 def test_json_validation():
     with pytest.raises(ValueError):
         form_from_json('{"d": 2, "coeffs": ["1", "2"]}')

@@ -235,10 +235,7 @@ def _dense_gradient_rows(form, modulus=None):
             power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in power]
             if modulus is not None:
                 power = [[x % modulus for x in row] for row in power]
-            else:
-                g = math.gcd(*(x for row in power for x in row)) or 1
-                power = [[x // g for x in row] for row in power]
-                c *= Fraction(g, d)
+            c /= d
         row = [0] * (2 * k + 1)
         for i in range(k + 1):
             for j in range(k + 1):

@@ -118,6 +118,19 @@ def test_vanishing_trace_has_the_ring_type():
     assert symbolic.vars == generic_form(4).coeffs[0].vars
 
 
+def test_zero_symbolic_form_keeps_its_ring():
+    # every coefficient is the zero MultiPoly: the matrix, its powers and
+    # every trace stay in the form's ring, though every value vanishes
+    ring = generic_form(4).coeffs[0].vars
+    f = BinaryForm([MultiPoly.zero(ring)] * 5)
+    coeffs = charpoly_invariants(f, 2)
+    assert coeffs[-1] == 1 and type(coeffs[-1]) is Fraction
+    assert all(type(c) is MultiPoly and c.vars == ring and not c for c in coeffs[:-1])
+    for p in (1, 2, 3):
+        value = trace_invariant(f, 2, p)
+        assert type(value) is MultiPoly and value.vars == ring and not value, p
+
+
 def test_trace_invariant_is_homogeneous_of_degree_p():
     # (4, 3, 3) is left out: tr(M^3) vanishes there (test_cubic_trace_vanishes_for_quartics_at_n3)
     for d, n, p in ((4, 2, 2), (4, 4, 3), (8, 4, 4)):

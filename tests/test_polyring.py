@@ -417,7 +417,7 @@ def test_polynomial_product_and_pairing_against_entrywise_sums():
         def entry():
             r = rng.random()
             if r < 0.3:
-                return Fraction(0)
+                return MultiPoly.zero(V3)
             if r < 0.45:
                 return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             return _random_poly(rng, nterms=rng.randint(1, 3))
@@ -426,8 +426,8 @@ def test_polynomial_product_and_pairing_against_entrywise_sums():
         b = RingMatrix([[entry() for _ in range(n)] for _ in range(inner)])
         assert [list(r) for r in a.mul(b).rows] == _entrywise_product(a, b)
         want = sum((a[i, j] * b[j, i] for i in range(n) for j in range(inner)), MultiPoly.zero(V3))
-        assert trace_product(a, b, V3) == want
-        assert type(trace_product(a, b, V3)) is MultiPoly
+        assert trace_product(a, b) == want
+        assert type(trace_product(a, b)) is MultiPoly
 
 
 def test_rational_pairing_against_fraction_oracle():
@@ -492,10 +492,11 @@ def test_zero_sums_have_the_ring_type():
     cube = _power(transvection_matrix(unstable_form(2), 2), 3)
     assert all(type(c) is Fraction for row in cube.rows for c in row)
     assert type(cube.trace()) is Fraction and cube.trace() == 0
-    # a symbolic nilpotent matrix: its square is all zero entries
+    # a symbolic nilpotent matrix: its square is all zero entries of its ring
     zero, f0 = Fraction(0), _var(0)
     square = _power(RingMatrix([[zero, f0], [zero, zero]]), 2)
-    assert all(type(c) is Fraction and c == 0 for row in square.rows for c in row)
+    assert all(type(c) is MultiPoly and c == MultiPoly.zero(V3) for row in square.rows for c in row)
+    assert type(square.trace()) is MultiPoly and type(trace_product(square, square)) is MultiPoly
 
 
 def _fraction_product(a, b):
