@@ -226,6 +226,8 @@ def form_from_json(text: str) -> BinaryForm:
     "p/q" string or a JSON integer.  JSON floats and booleans are rejected:
     Fraction would take them as binary floats and as 0/1."""
     payload = json.loads(text)
+    if type(payload) is not dict or not {"d", "coeffs"} <= payload.keys():
+        raise ValueError('a form file must hold a JSON object with keys "d" and "coeffs"')
     d = payload["d"]
     if type(d) is not int:
         raise ValueError(f"degree must be an integer, got {d!r}")

@@ -46,9 +46,10 @@ entries are built only when ``rows`` is read.  ``_times`` is the one
 integer matrix product of the package (the Jacobian's running power uses
 it too, mod a prime): a row with few nonzero entries combines the
 nonzero entries of the rows of the right operand it selects, a denser
-row takes dot products with the columns.  A matrix keeps its columns as
-it was last prepared as a right factor (dense integer columns, or lifted
-to MultiPolys), so a running power prepares M once.  The characteristic
+row takes dot products with the columns.  A rational matrix keeps the
+dense integer columns of A once made, so a running power makes those of
+M once.  A polynomial product or pairing hands its entries to ``_dot`` as
+they are, rationals and zeros included.  The characteristic
 polynomial comes from the trace-power (Newton) recurrence, whose
 divisions are by integers, so one loop serves rational and MultiPoly
 entries alike; its traces pair M, ..., M^ceil(n/2).
@@ -138,7 +139,8 @@ def _mac(acc: dict, a: dict, b, c: int) -> None:
 def _dot(variables, pairs) -> "MultiPoly":
     """The sum of a * b over ``pairs``, as one MultiPoly over ``variables``.
 
-    Each a is a MultiPoly and each b a MultiPoly or an int or Fraction.
+    Each factor is a MultiPoly over ``variables`` or an int or Fraction, in
+    either order; a pair of two scalars adds a constant of the ring.
     Every product is accumulated into one dict of int numerators over the
     lcm of the pairs' denominators, and the content is taken out once, at
     the end.  No field can carry unnoticed: a product of total degree D
@@ -147,16 +149,20 @@ def _dot(variables, pairs) -> "MultiPoly":
     """
     factors = []
     for a, b in pairs:
+        if not isinstance(a, MultiPoly):
+            a, b = b, a
         if isinstance(b, MultiPoly):
             if a.vars != variables or b.vars != variables:
                 raise ValueError("polynomials over different variable lists")
             if a.nums and b.nums:
                 factors.append((a.nums, b.nums, 1, a.den * b.den))
-        else:
+        elif isinstance(a, MultiPoly):
             if a.vars != variables:
                 raise ValueError("polynomials over different variable lists")
             if a.nums and b:
                 factors.append((a.nums, None, b.numerator, a.den * b.denominator))
+        elif a and b:  # two scalars: the constant term a * b
+            factors.append(({0: a.numerator}, None, b.numerator, a.denominator * b.denominator))
     den = math.lcm(*[f[3] for f in factors])
     acc: dict[int, int] = {}
     for a, b, c, d in factors:
@@ -433,25 +439,13 @@ class RingMatrix:
                           for row in self._rows], den
         return self._ints
 
-    def _columns(self, variables):
-        """This matrix prepared as the right factor of products over
-        ``variables``, and kept: a running power multiplies by the same
-        matrix at every step.  Over Q (``variables`` None) it is the dense
-        integer columns of A (``_integral``); over a polynomial ring each
-        column is the list of its nonzero entries as (row index, MultiPoly),
-        rationals lifted to constants."""
-        cols = self._cols
-        if cols is None or cols[0] != variables:
-            if variables is None:
-                cols = None, list(zip(*[_dense(row, self.ncols) for row in self._integral()[0]]))
-            else:
-                cols = variables, [
-                    [(t, c if isinstance(c, MultiPoly) else MultiPoly.const(variables, c))
-                     for t, c in enumerate(col) if c]
-                    for col in zip(*self.rows)
-                ]
-            self._cols = cols
-        return cols[1]
+    def _columns(self):
+        """The dense integer columns of A (``_integral``) of this rational
+        matrix, made once: a running power multiplies by the same right
+        factor at every step."""
+        if self._cols is None:
+            self._cols = list(zip(*[_dense(row, self.ncols) for row in self._integral()[0]]))
+        return self._cols
 
     def _ring(self, other: "RingMatrix"):
         """The variable list of a product or pairing of self and other."""
@@ -461,18 +455,11 @@ class RingMatrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
         variables = self._ring(other)
-        right = other._columns(variables)
         if variables is None:
             (a, d), (b, e) = self._integral(), other._integral()
-            return RingMatrix._cleared(_times(a, b, right), d * e, other.ncols)
-        out = []
-        for row in self.rows:
-            line = []
-            for col in right:
-                pairs = [(a, b) if isinstance(a, MultiPoly) else (b, a) for t, b in col if (a := row[t])]
-                line.append(_dot(variables, pairs))
-            out.append(line)
-        return RingMatrix(out)
+            return RingMatrix._cleared(_times(a, b, other._columns()), d * e, other.ncols)
+        cols = list(zip(*other.rows))
+        return RingMatrix([[_dot(variables, zip(row, col)) for col in cols] for row in self.rows])
 
     __matmul__ = mul
 
@@ -510,12 +497,9 @@ def trace_product(a: RingMatrix, b: RingMatrix):
     variables = a._ring(b)
     if variables is None:
         (rows, d), (_, e) = a._integral(), b._integral()
-        cols = b._columns(None)
-        return Fraction(sum(sum(map(mul, row.values(), map(col.__getitem__, row))) for row, col in zip(rows, cols)),
-                        d * e)
-    pairs = [(x, y) if isinstance(x, MultiPoly) else (y, x)
-             for row, col in zip(a.rows, b._columns(variables)) for j, y in col if (x := row[j])]
-    return _dot(variables, pairs)
+        return Fraction(sum(sum(map(mul, row.values(), map(col.__getitem__, row)))
+                            for row, col in zip(rows, b._columns())), d * e)
+    return _dot(variables, [pair for row, col in zip(a.rows, zip(*b.rows)) for pair in zip(row, col)])
 
 
 def charpoly(m: RingMatrix) -> list:

@@ -8,7 +8,9 @@ For F of degree m and G of degree n and 0 <= k <= min(m, n):
 
 computed formally on coefficient vectors, never numerically.  The result
 has order m + n - 2k.  Coefficients may be Fractions or MultiPolys; the
-same code path serves numeric checks and symbolic invariants.
+same code path serves numeric checks and symbolic invariants.  A
+coefficient that vanishes is the zero of the forms' ring: Fraction(0)
+when both are numeric, the zero MultiPoly otherwise.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 
 from .exactnum import alt_sign, binom_ext, fact_ext
 from .forms import BinaryForm, convolve
+from .polyring import MultiPoly
 
 
 def _deriv(coeffs, a: int, b: int):
@@ -37,6 +40,7 @@ def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
     if not 0 <= k <= min(m, n):
         raise ValueError(f"transvectant index {k} out of range for orders ({m}, {n})")
     pre = Fraction(fact_ext(m - k) * fact_ext(n - k), fact_ext(m) * fact_ext(n))
+    zero = next((MultiPoly.zero(c.vars) for c in f.coeffs + g.coeffs if isinstance(c, MultiPoly)), Fraction(0))
     total = [0] * (m + n - 2 * k + 1)
     for l in range(k + 1):
         c = alt_sign(l) * binom_ext(k, l)
@@ -44,7 +48,7 @@ def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
         for idx, v in enumerate(term):
             if v:
                 total[idx] = total[idx] + c * v
-    return BinaryForm([pre * v if v else Fraction(0) for v in total])
+    return BinaryForm([pre * v if v else zero for v in total])
 
 
 @functools.lru_cache(maxsize=None)

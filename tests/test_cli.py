@@ -329,6 +329,16 @@ def test_malformed_form_file_is_a_clean_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_form_file_without_both_keys_names_them(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for text in ('{"coeffs": ["1", "0", "0", "0", "1"]}', '["1", "0", "0", "0", "1"]'):
+        bad.write_text(text)
+        code, out, err = run(capsys, "invariant", "P", "--d", "4", "--n", "2", "--p", "2",
+                             "--form", str(bad))
+        assert code == 2 and out == ""
+        assert err == 'binform: error: a form file must hold a JSON object with keys "d" and "coeffs"\n'
+
+
 def test_form_file_with_float_or_bool_coefficients_exits_2(tmp_path, capsys):
     bad = tmp_path / "float.json"
     bad.write_text('{"d": 4, "coeffs": [0.1, true, "0", "0", 1]}')

@@ -129,6 +129,12 @@ def test_json_validation():
         form_to_json(f)
 
 
+def test_json_needs_an_object_with_both_keys():
+    for text in ('{"coeffs": ["1"]}', '{"d": 0}', '["1", "2"]', '3', '"d"', 'null'):
+        with pytest.raises(ValueError, match='keys "d" and "coeffs"'):
+            form_from_json(text)
+
+
 def test_json_rejects_float_and_bool_coefficients():
     # JSON integers are exact; floats and booleans would be read as binary
     # fractions and as 0/1

@@ -320,69 +320,78 @@ def test_packed_core_against_reference_polynomials():
 
 
 def _fused_pairs(rng, case):
-    """Seeded pairs for ``_dot`` over 1-6 variables, each with its reference
-    product; ``case`` picks the kind of second factor."""
+    """Seeded pairs for ``_dot`` over 1-6 variables; each factor is a scalar
+    or a (MultiPoly, reference) pair, and either may come first.  ``case``
+    picks how many pairs there are and which of them cancel."""
     names = tuple(f"f{i}" for i in range(rng.randint(1, 6)))
     dens = [1, 2, 3, 7, 12, math.factorial(10)]
 
     def coeff():
         return Fraction(rng.randint(-50, 50), rng.choice(dens))
 
-    def terms(nterms, maxdeg=4):
-        out = {}
+    def poly(nterms, maxdeg=4):
+        terms = {}
         for _ in range(nterms):
             exp = [0] * len(names)
             for _ in range(rng.randint(0, maxdeg)):
                 exp[rng.randrange(len(names))] += 1
-            out[tuple(exp)] = coeff()
-        return out
+            terms[tuple(exp)] = coeff()
+        return MultiPoly(names, terms), _RefPoly(names, terms)
 
     pairs = []
     for _ in range(0 if case % 9 == 0 else rng.randint(1, 6)):
-        a = terms(rng.randint(0, 5))
-        kind = rng.randrange(5)
+        a = poly(rng.randint(0, 5))
+        kind = rng.randrange(6)
         if kind == 0:
             b = rng.randint(-9, 9)
         elif kind == 1:
             b = coeff()
+        elif kind == 5:  # two scalars: a constant of the ring
+            a, b = coeff(), rng.choice([rng.randint(-9, 9), coeff()])
         else:  # a MultiPoly of one or several terms, possibly constant or zero
-            b = terms(rng.randint(0, 1) if kind == 2 else rng.randint(2, 5), maxdeg=0 if kind == 3 else 4)
-            b = (MultiPoly(names, b), _RefPoly(names, b))
-        pairs.append(((MultiPoly(names, a), _RefPoly(names, a)), b))
-    if case % 4 == 1 and pairs:  # the last pair cancels an earlier one
-        (a, ar), b = pairs[rng.randrange(len(pairs))]
-        pairs.append(((-a, -ar), b))
+            b = poly(rng.randint(0, 1) if kind == 2 else rng.randint(2, 5), maxdeg=0 if kind == 3 else 4)
+        pairs.append((b, a) if rng.randrange(2) else (a, b))
+    if case % 4 == 1 and pairs:  # later pairs cancel one earlier pair, or all of them
+        for a, b in pairs[:] if case % 8 == 1 else [rng.choice(pairs)]:
+            pairs.append(((-a[0], -a[1]) if isinstance(a, tuple) else -a, b))
     return names, pairs
 
 
 def test_fused_sum_against_reference_sums():
     rng = random.Random(21)
     seen = set()
+
+    def split(x):  # (MultiPoly, reference), or a scalar that is both
+        return x if isinstance(x, tuple) else (x, x)
+
     for case in range(60):
         names, pairs = _fused_pairs(rng, case)
-        packed = [(a, b[0] if isinstance(b, tuple) else b) for (a, _), b in pairs]
+        pairs = [(split(a), split(b)) for a, b in pairs]
+        packed = [(a, b) for (a, _), (b, _) in pairs]
         ref = _RefPoly(names, {})
-        for (_, ar), b in pairs:
-            ref = ref + ar * (b[1] if isinstance(b, tuple) else b)
+        for (_, ar), (_, br) in pairs:
+            ref = ref + ar * br
         got = _dot(names, packed)
         _same(got, ref)
         # content normalized once: equal to the sum of one-pair products
         assert got == sum((a * b for a, b in packed), MultiPoly.zero(names))
         assert got.vars is names
-        factors = [b for _, b in packed]
         if not pairs:
             seen.add("empty")
         if pairs and not got:
             seen.add("cancels to 0")
-        for b in factors:
+        for a, b in packed:
+            if not isinstance(a, MultiPoly):
+                seen.add("scalar first" if isinstance(b, MultiPoly) else "two scalars")
+                a, b = b, a
             if isinstance(b, MultiPoly):
                 seen.add({0: "zero poly", 1: "one-term poly"}.get(len(b.nums), "many-term poly"))
             else:
                 seen.add("zero scalar" if not b else "int" if type(b) is int else "Fraction")
-        if len({a.den for a, _ in packed} | {b.den for b in factors if isinstance(b, MultiPoly)}) > 2:
+        if len({x.den for pair in packed for x in pair if isinstance(x, MultiPoly)}) > 2:
             seen.add("mixed denominators")
     assert seen == {"empty", "cancels to 0", "zero poly", "one-term poly", "many-term poly",
-                    "zero scalar", "int", "Fraction", "mixed denominators"}
+                    "zero scalar", "int", "Fraction", "mixed denominators", "scalar first", "two scalars"}
 
 
 def test_fused_sum_checks_degree_and_variables():
@@ -394,8 +403,10 @@ def test_fused_sum_checks_degree_and_variables():
         with pytest.raises(OverflowError):
             _dot(V3, pairs)
     assert _dot(V3, [(high, 3), (f0, f1)]) == 3 * high + f0 * f1  # scalars keep the degree
+    assert _dot(V3, [(3, high), (Fraction(1, 2), 4), (0, f1), (5, 0)]) == 3 * high + 2
+    assert _dot(V3, [(2, Fraction(1, 3))]) == MultiPoly.const(V3, Fraction(2, 3))
     other = MultiPoly.variable(("x", "y", "z"), 0)
-    for pairs in ([(other, f0)], [(f0, other)], [(other, 2)], [(f0, f1), (f0, other)]):
+    for pairs in ([(other, f0)], [(f0, other)], [(other, 2)], [(2, other)], [(f0, f1), (f0, other)]):
         with pytest.raises(ValueError):
             _dot(V3, pairs)
     with pytest.raises(ValueError):
@@ -461,10 +472,8 @@ def test_running_power_prepares_its_factor_once(monkeypatch):
     # M is cleared to A / D once; every power stays integer rows over D^e
     assert len(cleared) == 1 and cleared[0] is m
     assert [power._integral()[1] for power in powers] == [m._integral()[1] ** e for e in range(1, 7)]
-    assert m._columns(None) is m._columns(None)
+    assert m._columns() is m._columns()
     assert [list(r) for r in powers[-1].rows] == _fraction_product(powers[-2], m)
-    f = transvection_matrix(generic_form(8), 4)
-    assert f._columns(f._vars) is f._columns(f._vars)
 
 
 def _power(m, p):

@@ -6,8 +6,10 @@ import pytest
 
 from binform.exactnum import fact_product
 from binform.forms import BinaryForm, generic_form, mobius_act, monomial, random_form, random_unimodular
+from binform.invariants import p2_closed_form
 from binform.polyring import MultiPoly
 from binform.transvect import t_coeff, transvectant
+from binform.umbral import BracketMonomial, umbral_eval
 
 X14 = BinaryForm([1, 0, 0, 0, 1])  # x1^4 + x2^4
 
@@ -168,6 +170,19 @@ def test_odd_self_transvectants_vanish_symbolically(d):
     f = generic_form(d)
     for k in range(1, d + 1, 2):
         assert transvectant(f, f, k).is_zero()
+
+
+def test_vanishing_symbolic_coefficients_keep_the_ring():
+    # (F, F)_1 of the generic quartic vanishes: every coefficient is the
+    # zero MultiPoly, as its umbral oracle (a b) a_x^3 b_x^3 gives it
+    f = generic_form(4)
+    ring = f.coeffs[0].vars
+    bracket = BracketMonomial(("a", "b"), {"a": 4, "b": 4}, {("a", "b"): 1}, {"a": 3, "b": 3})
+    for form in (transvectant(f, f, 1), umbral_eval(bracket, {"a": f, "b": f})):
+        assert form.degree == 6
+        assert all(type(c) is MultiPoly and c.vars == ring and not c for c in form.coeffs)
+    value = p2_closed_form(BinaryForm([MultiPoly.zero(ring)] * 5), 2)
+    assert type(value) is MultiPoly and value.vars == ring and not value
 
 
 def test_equivariance_under_the_group_action():
