@@ -103,7 +103,7 @@ def _flag_dest(name: str) -> str:
 
 def _csv_escape(v) -> str:
     s = v if isinstance(v, str) else json.dumps(v, sort_keys=True)
-    if any(ch in s for ch in ",\"\n"):
+    if any(ch in s for ch in ",\"\r\n"):
         s = '"' + s.replace('"', '""') + '"'
     return s
 

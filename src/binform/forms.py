@@ -224,7 +224,8 @@ def form_to_json(form: BinaryForm) -> str:
 def form_from_json(text: str) -> BinaryForm:
     """Read {"d": int, "coeffs": [...]}; each coefficient is a decimal or
     "p/q" string or a JSON integer.  JSON floats and booleans are rejected:
-    Fraction would take them as binary floats and as 0/1."""
+    Fraction would take them as binary floats and as 0/1.  So is a string
+    with an exponent, which Fraction would expand into an unbounded int."""
     payload = json.loads(text)
     if type(payload) is not dict or not {"d", "coeffs"} <= payload.keys():
         raise ValueError('a form file must hold a JSON object with keys "d" and "coeffs"')
@@ -237,6 +238,8 @@ def form_from_json(text: str) -> BinaryForm:
     for c in raw:
         if type(c) not in (str, int):
             raise ValueError(f"coefficients must be strings or integers, got {c!r}")
+        if type(c) is str and ("e" in c or "E" in c):
+            raise ValueError(f"coefficient {c!r} has an exponent; write it as a decimal or p/q")
     coeffs = [Fraction(c) for c in raw]
     if len(coeffs) != d + 1:
         raise ValueError(f"expected {d + 1} coefficients, got {len(coeffs)}")

@@ -29,7 +29,9 @@ MultiPoly is built per product and no accumulator is copied per term.
 Its multiply-add ``_mac`` takes a scalar or one-term factor in one loop
 over the other factor and keeps the double loop for two many-term
 factors.  MultiPoly * is the one-pair sum; a polynomial matrix product
-is one sum per entry, and so is the trace pairing ``trace_product``.
+is one sum per entry, and so are a trace, the trace pairing
+``trace_product``, a step of the characteristic recurrence and a
+transvectant coefficient.  Over Q ``_dot`` is the plain Fraction sum.
 
 RingMatrix is a dense 2-D array whose entries are Fractions or
 MultiPolys over one shared variable list.  A matrix with a MultiPoly
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import repeat, starmap
 from operator import itemgetter, mul
 
 from .exactnum import alt_sign
@@ -136,8 +138,9 @@ def _mac(acc: dict, a: dict, b, c: int) -> None:
             acc[k] = get(k, 0) + v * c
 
 
-def _dot(variables, pairs) -> "MultiPoly":
-    """The sum of a * b over ``pairs``, as one MultiPoly over ``variables``.
+def _dot(variables, pairs):
+    """The sum of a * b over ``pairs``, as one MultiPoly over ``variables``;
+    over Q (``variables`` None) the plain Fraction sum, Fraction(0) for none.
 
     Each factor is a MultiPoly over ``variables`` or an int or Fraction, in
     either order; a pair of two scalars adds a constant of the ring.
@@ -147,6 +150,8 @@ def _dot(variables, pairs) -> "MultiPoly":
     has a key whose top field is at least D, so the largest key bounds
     every product's degree.
     """
+    if variables is None:
+        return sum(starmap(mul, pairs), Fraction(0))
     factors = []
     for a, b in pairs:
         if not isinstance(a, MultiPoly):
@@ -476,8 +481,7 @@ class RingMatrix:
         matrix has polynomial entries."""
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        zero = Fraction(0) if self._vars is None else MultiPoly.zero(self._vars)
-        return sum((self.rows[i][i] for i in range(self.nrows)), zero)
+        return _dot(self._vars, [(self.rows[i][i], 1) for i in range(self.nrows)])
 
     def __repr__(self):
         return f"RingMatrix({self.nrows}x{self.ncols})"
@@ -514,13 +518,12 @@ def charpoly(m: RingMatrix) -> list:
     held at a time: tr(M^j) is the pairing ``trace_product`` of
     M^ceil(j/2) with M^floor(j/2).  Over Q the powers are integer matrices
     over D, D^2, ... (``RingMatrix._integral``) and each trace is one
-    integer pairing; over Q[f0..fd] each sum of the recurrence is one
-    fused ``_dot``.
+    integer pairing.  Each sum of the recurrence is one ``_dot`` over the
+    matrix's ring.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.nrows
-    variables = m._vars
     traces = []
     prev = None
     for a, power in enumerate(m.powers((n + 1) // 2), 1):
@@ -533,7 +536,7 @@ def charpoly(m: RingMatrix) -> list:
     e = [Fraction(1)]
     for i in range(1, n + 1):
         # sum_{j=1..i} (-1)^(j-1) tr(M^j) e_(i-j): zip and map stop at e_0
-        s = sum(map(mul, signed, reversed(e))) if variables is None else _dot(variables, zip(signed, reversed(e)))
+        s = _dot(m._vars, zip(signed, reversed(e)))
         e.append(s / i)
     return [alt_sign(n - p) * e[n - p] for p in range(n + 1)]
 

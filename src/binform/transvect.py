@@ -1,16 +1,18 @@
 """The transvectant bilinear operation and its monomial coefficients.
 
-For F of degree m and G of degree n and 0 <= k <= min(m, n):
+For F of degree m and G of degree n and 0 <= k <= min(m, n), the
+transvectant of order m + n - 2k is defined by
 
     (F, G)_k = (m-k)! (n-k)! / (m! n!) *
                sum_{l=0..k} (-1)^l C(k, l) *
-               d^k F / dx1^(k-l) dx2^l  *  d^k G / dx1^l dx2^(k-l)
+               d^k F / dx1^(k-l) dx2^l  *  d^k G / dx1^l dx2^(k-l).
 
-computed formally on coefficient vectors, never numerically.  The result
-has order m + n - 2k.  Coefficients may be Fractions or MultiPolys; the
-same code path serves numeric checks and symbolic invariants.  A
-coefficient that vanishes is the zero of the forms' ring: Fraction(0)
-when both are numeric, the zero MultiPoly otherwise.
+It is bilinear, and ``t_coeff`` is the formula applied to two monomials,
+so coefficient t of (F, G)_k is sum_{i+j=t+k} f_i g_j t_coeff(i, j, m, n, k):
+one fused sum (``polyring._dot``) over the forms' ring.
+Coefficients may be Fractions or MultiPolys; the ring is the variable
+list of the first MultiPoly coefficient, or Q when both forms are
+numeric.  A coefficient that vanishes is the zero of that ring.
 """
 
 from __future__ import annotations
@@ -19,36 +21,21 @@ import functools
 import math
 from fractions import Fraction
 
-from .exactnum import alt_sign, binom_ext, fact_ext
-from .forms import BinaryForm, convolve
-from .polyring import MultiPoly
-
-
-def _deriv(coeffs, a: int, b: int):
-    """Coefficient vector of d^(a+b) / dx1^a dx2^b applied to the form."""
-    m = len(coeffs) - 1
-    order = m - a - b
-    out = []
-    for t in range(order + 1):
-        i = t + b
-        out.append(coeffs[i] * (math.perm(m - i, a) * math.perm(i, b)))
-    return out
+from .exactnum import alt_sign
+from .forms import BinaryForm
+from .polyring import MultiPoly, _dot
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
     m, n = f.degree, g.degree
     if not 0 <= k <= min(m, n):
         raise ValueError(f"transvectant index {k} out of range for orders ({m}, {n})")
-    pre = Fraction(fact_ext(m - k) * fact_ext(n - k), fact_ext(m) * fact_ext(n))
-    zero = next((MultiPoly.zero(c.vars) for c in f.coeffs + g.coeffs if isinstance(c, MultiPoly)), Fraction(0))
-    total = [0] * (m + n - 2 * k + 1)
-    for l in range(k + 1):
-        c = alt_sign(l) * binom_ext(k, l)
-        term = convolve(_deriv(f.coeffs, k - l, l), _deriv(g.coeffs, l, k - l))
-        for idx, v in enumerate(term):
-            if v:
-                total[idx] = total[idx] + c * v
-    return BinaryForm([pre * v if v else zero for v in total])
+    fc, gc = f.coeffs, g.coeffs
+    ring = next((c.vars for c in fc + gc if isinstance(c, MultiPoly)), None)
+    # coefficient t pairs f_i with g_j over i + j = s = t + k
+    return BinaryForm([_dot(ring, [(t_coeff(i, s - i, m, n, k) * fc[i], gc[s - i])
+                                   for i in range(max(0, s - n), min(m, s) + 1)])
+                       for s in range(k, m + n - k + 1)])
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from csv import reader as csv_reader
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -204,11 +205,20 @@ SYMBOLIC_REPORTS = [
     (("bracket", "eval", "--expr", "(a b)^4 (a c)^2 (a d)^2 (b c)^2 (b d)^2 (c d)^4 ; deg=8",
       "--generic", "--jobs", "1"),
      "3c5a7671bdf108f8fec2d5c1756c0c469941d1fa4edfe11b5cbd5439cb04aa86"),
+    (("invariant", "shioda", "--idx", "2", "--d", "8", "--generic", "--jobs", "1"),
+     "68ed159f32cd3a0a618e053841d79773fbe3a3e4b17722911defc5b8e6cf89be"),
+    (("invariant", "shioda", "--idx", "3", "--d", "8", "--generic", "--jobs", "1"),
+     "64005cb40ac9105fdd131ea42dbaa81ff5bb01d8a847563853bd6b2c1ba27ae7"),
+    (("invariant", "shioda", "--idx", "4", "--d", "8", "--generic", "--jobs", "1"),
+     "3e971c88b88b7455bd06bb1750773b29e99e74f97b61ad97fd2073423a129e0e"),
+    (("invariant", "shioda", "--idx", "5", "--d", "8", "--generic", "--jobs", "1"),
+     "a9acf7fac0644787d8c8aa5a2e2e8a9f6369b4abcc478732c44be075e2a63690"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,sha256", SYMBOLIC_REPORTS, ids=("invariant-P", "octavic-verify", "bracket-eval")
+    "argv,sha256", SYMBOLIC_REPORTS,
+    ids=("invariant-P", "octavic-verify", "bracket-eval", "shioda-2", "shioda-3", "shioda-4", "shioda-5"),
 )
 def test_symbolic_report_bytes_are_pinned(capsys, argv, sha256):
     code, out, err = run(capsys, *argv)
@@ -309,6 +319,15 @@ def test_csv_format(capsys):
     assert "S,-27" in out
 
 
+def test_csv_quotes_a_carriage_return(capsys):
+    expr = "(a b)^2\r ; deg=2"
+    code, out, err = run(capsys, "bracket", "eval", "--expr", expr, "--generic", "--format", "csv")
+    assert code == 0, err
+    rows = list(csv_reader(io.StringIO(out, newline="")))
+    assert [row for row in rows if row[0] == "expr"] == [["expr", expr]]
+    assert all(len(row) == 2 for row in rows)
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "sixj", "value", "--k", "2", "--n", "2",
@@ -337,6 +356,15 @@ def test_form_file_without_both_keys_names_them(tmp_path, capsys):
                              "--form", str(bad))
         assert code == 2 and out == ""
         assert err == 'binform: error: a form file must hold a JSON object with keys "d" and "coeffs"\n'
+
+
+def test_form_file_with_an_exponent_exits_2(tmp_path, capsys):
+    bad = tmp_path / "exp.json"
+    bad.write_text('{"d": 4, "coeffs": ["1", "0", "1e400", "0", "1"]}')
+    code, out, err = run(capsys, "invariant", "P", "--d", "4", "--n", "2", "--p", "2",
+                         "--form", str(bad))
+    assert code == 2 and out == ""
+    assert err == "binform: error: coefficient '1e400' has an exponent; write it as a decimal or p/q\n"
 
 
 def test_form_file_with_float_or_bool_coefficients_exits_2(tmp_path, capsys):

@@ -151,3 +151,12 @@ def test_json_rejects_float_and_bool_coefficients():
     ):
         with pytest.raises(ValueError):
             form_from_json(text)
+
+
+def test_json_rejects_coefficients_with_an_exponent():
+    # Fraction would expand "1e10000000" into a 33-million-bit numerator
+    for c in ("1e400", "1E400", "-2.5e-3", "3/1e2"):
+        with pytest.raises(ValueError, match="exponent") as err:
+            form_from_json('{"d": 1, "coeffs": ["1", "%s"]}' % c)
+        assert repr(c) in str(err.value)
+    assert form_from_json('{"d": 1, "coeffs": ["-2.5", "3/100"]}') == BinaryForm([Fraction(-5, 2), Fraction(3, 100)])

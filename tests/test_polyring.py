@@ -394,6 +394,19 @@ def test_fused_sum_against_reference_sums():
                     "zero scalar", "int", "Fraction", "mixed denominators", "scalar first", "two scalars"}
 
 
+def test_fused_sum_over_q_is_the_fraction_sum():
+    # the ring None: ints and Fractions in any order, summed as Fractions
+    rng = random.Random(22)
+    for case in range(40):
+        pairs = [tuple(rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-50, 50), rng.randint(1, 12))])
+                       for _ in range(2)) for _ in range(case % 7)]
+        got = _dot(None, pairs)
+        assert type(got) is Fraction
+        assert got == sum((Fraction(a) * b for a, b in pairs), Fraction(0))
+    assert _dot(None, []) == 0 and type(_dot(None, [])) is Fraction
+    assert _dot(None, iter([(2, 3), (Fraction(1, 2), Fraction(-2, 3))])) == Fraction(17, 3)
+
+
 def test_fused_sum_checks_degree_and_variables():
     top = 2 ** FIELD_BITS - 1
     f0, f1 = _var(0), _var(1)

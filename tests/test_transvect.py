@@ -208,6 +208,43 @@ def test_symbolic_and_numeric_paths_agree():
         assert sym.evaluate(point) == numeric
 
 
+def test_numeric_with_symbolic_forms_at_seeded_points():
+    # either order: the symbolic result, evaluated at a point, is the numeric
+    # transvectant with the point as the symbolic form's coefficients
+    rng = random.Random(5)
+    for m in range(1, 7):
+        for n in range(1, 7):
+            f, g = random_form(m, rng), generic_form(n)
+            ring = g.coeffs[0].vars
+            points = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n + 1)] for _ in range(3)]
+            for k in range(min(m, n) + 1):
+                for numeric_first in (True, False):
+                    got = transvectant(f, g, k) if numeric_first else transvectant(g, f, k)
+                    assert all(type(c) is MultiPoly and c.vars == ring for c in got.coeffs)
+                    for point in points:
+                        at = BinaryForm(point)
+                        want = transvectant(f, at, k) if numeric_first else transvectant(at, f, k)
+                        assert [c.evaluate(point) for c in got.coeffs] == list(want.coeffs)
+
+
+def test_sparse_fraction_forms_against_brute_force():
+    rng = random.Random(6)
+
+    def sparse(order):
+        coeffs = [Fraction(0)] * (order + 1)
+        for i in rng.sample(range(order + 1), rng.randint(1, min(3, order + 1))):
+            coeffs[i] = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 7, 10, 12]))
+        return BinaryForm(coeffs)
+
+    for _ in range(60):
+        m, n = rng.randint(1, 10), rng.randint(1, 10)
+        f, g = sparse(m), sparse(n)
+        k = rng.randint(0, min(m, n))
+        got = transvectant(f, g, k)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got == _brute_transvectant(f, g, k)
+
+
 def _generic_cases():
     """(names, f, g, g0): forms of degrees m <= n <= 6 with independent
     symbolic coefficients a0..am and b0..bn, then each generic_form(d),
