@@ -225,8 +225,12 @@ def form_from_json(text: str) -> BinaryForm:
     """Read {"d": int, "coeffs": [...]}; each coefficient is a decimal or
     "p/q" string or a JSON integer.  JSON floats and booleans are rejected:
     Fraction would take them as binary floats and as 0/1.  So is a string
-    with an exponent, which Fraction would expand into an unbounded int."""
-    payload = json.loads(text)
+    with an exponent, which Fraction would expand into an unbounded int,
+    and a file nested too deeply for the JSON decoder's recursion."""
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("a form file nested too deeply to read as JSON") from None
     if type(payload) is not dict or not {"d", "coeffs"} <= payload.keys():
         raise ValueError('a form file must hold a JSON object with keys "d" and "coeffs"')
     d = payload["d"]

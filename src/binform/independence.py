@@ -15,10 +15,12 @@ row r of the Jacobian is a nonzero rational multiple of the integer row
 
 and one running integer power of A serves every row.  Its products are
 ``polyring._times``, the package's one integer matrix product, on sparse
-rows (column -> nonzero int), and the form is cleared to F / D_f by
-``polyring._cleared_int_rows``.  The exact route builds one Fraction per
-entry of the final matrix; the rank route runs the same loop mod a prime
-(see ``jacobian_rank``).
+rows (column -> nonzero int), and the form is cleared to F / D_f as a
+one-row matrix (``RingMatrix._integral``), the package's one clearing
+rule.  The rank route runs the loop mod a prime (see ``jacobian_rank``)
+and, should that rank fall short, eliminates the integer rows N_r
+themselves; only the public oracle ``jacobian_matrix`` builds Fractions,
+one per entry.
 
 Specializing at the nullcone form x1^(k-1) x2^(k+1) collapses each row
 to a single entry with an explicit closed form in N(k, r); the k x k minor
@@ -39,7 +41,7 @@ from .combsum import nkr
 from .exactnum import alt_sign, binom_ext
 from .forms import BinaryForm, random_form, unstable_form
 from .invariants import _check_fk
-from .polyring import RingMatrix, _cleared_int_rows, _dense, _times, rank_exact
+from .polyring import RingMatrix, _bareiss, _dense, _times
 
 # The prime of the modular rank proof: the largest below 2^30, so that a
 # residue fits one 30-bit digit of a Python int and products stay small.
@@ -68,7 +70,8 @@ def _gradient_rows(form: BinaryForm, modulus: int | None = None):
     docstring.
 
     M_ij = f_(i-j+k) W_ji / E is linear in the form, so clearing the form
-    to F / D_f gives M = A / D with A_ij = F_(i-j+k) W_ji and D = D_f E.
+    to F / D_f (``RingMatrix._integral`` of the one-row matrix of its
+    coefficients) gives M = A / D with A_ij = F_(i-j+k) W_ji and D = D_f E.
     The loop carries one integer running power P = A^(r-1), so
     M^(r-1) = P / D^(r-1), and row[s] = sum_{j-i+k=s} P_ij W_ij; the
     scale is then r / (D^(r-1) E) in closed form.  P is held as sparse
@@ -82,9 +85,8 @@ def _gradient_rows(form: BinaryForm, modulus: int | None = None):
     k = _check_fk(form, form.degree // 2)
     n = k + 1
     w, e = _weights(k)
-    (f,), (fden,) = _cleared_int_rows([form.coeffs])
-    support = [s for s, x in enumerate(f) if x]
-    a = [{j: f[s] * w[j][i] for s in support if 0 <= (j := i - s + k) <= k} for i in range(n)]
+    (f,), fden = RingMatrix([form.coeffs])._integral()
+    a = [{j: x * w[j][i] for s, x in f.items() if 0 <= (j := i - s + k) <= k} for i in range(n)]
     d = fden * e  # M = A / d
     if modulus is not None:
         a = [{j: v for j, x in row.items() if (v := x % modulus)} for row in a]
@@ -108,7 +110,8 @@ def jacobian_matrix(form: BinaryForm) -> RingMatrix:
     """Rows r = 2..k+1 hold the gradient of tr(M^r) at the given numeric
     form of degree 2k; shape k x (2k+1).  One running integer power of the
     cleared M serves every row: k - 1 integer matrix products, and one
-    Fraction per entry of the result."""
+    Fraction per entry of the result.  This is the public oracle for the
+    Jacobian; ``jacobian_rank`` never builds it."""
     zero = Fraction(0)
     rows = []
     for scale, row in _gradient_rows(form):
@@ -146,13 +149,14 @@ def jacobian_rank(form: BinaryForm) -> int:
     integral whatever the denominators of the form, so no prime needs to be
     avoided; the prime only sets how often the rank mod p falls short.
     When it does, the rank mod p proves nothing, and the exact Bareiss
-    rank of ``jacobian_matrix(form)`` decides.
+    rank of the integer rows N_r decides: the same rank as J, since the
+    row scales are nonzero, with no Fraction matrix built.
     """
     p = RANK_PRIME
     rows = [row for _, row in _gradient_rows(form, p)]
     if _rank_mod(rows, p) == len(rows):
         return len(rows)
-    return rank_exact(jacobian_matrix(form))
+    return _bareiss([row for _, row in _gradient_rows(form)])[0]
 
 
 def jacobian_unstable_closed(k: int) -> RingMatrix:

@@ -28,10 +28,12 @@ the pairs' denominators and takes the content out once, at the end, so no
 MultiPoly is built per product and no accumulator is copied per term.
 Its multiply-add ``_mac`` takes a scalar or one-term factor in one loop
 over the other factor and keeps the double loop for two many-term
-factors.  MultiPoly * is the one-pair sum; a polynomial matrix product
-is one sum per entry, and so are a trace, the trace pairing
-``trace_product``, a step of the characteristic recurrence and a
-transvectant coefficient.  Over Q ``_dot`` is the plain Fraction sum.
+factors.  MultiPoly * is the one-pair sum, and + and - are the two-pair
+sums (self, +-1), (other, +-1), a scalar operand adding a constant of
+the ring; a polynomial matrix product is one sum per entry, and so are a
+trace, the trace pairing ``trace_product``, a step of the characteristic
+recurrence and a transvectant coefficient.  Over Q ``_dot`` is the plain
+Fraction sum.
 
 RingMatrix is a dense 2-D array whose entries are Fractions or
 MultiPolys over one shared variable list.  A matrix with a MultiPoly
@@ -55,10 +57,11 @@ they are, rationals and zeros included.  The characteristic
 polynomial comes from the trace-power (Newton) recurrence, whose
 divisions are by integers, so one loop serves rational and MultiPoly
 entries alike; its traces pair M, ..., M^ceil(n/2).
-Determinant and rank share one fraction-free (Bareiss) elimination on the
-integer matrix obtained by clearing row denominators, so intermediate
-entries never grow fractions; the determinant is 0 when the rank falls
-short of n, and otherwise the last pivot over the row multipliers.
+Determinant and rank share one fraction-free (Bareiss) elimination on
+the once-cleared A (``RingMatrix._integral``, the package's one clearing
+rule), so intermediate entries never grow fractions; the determinant is
+0 when the rank falls short of n, and otherwise the signed last pivot
+over D^n.
 """
 
 from __future__ import annotations
@@ -234,28 +237,10 @@ class MultiPoly:
 
     # -- ring structure ----------------------------------------------
 
-    def _lift(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            if other.vars != self.vars:
-                raise ValueError("polynomials over different variable lists")
-            return other
-        return MultiPoly.const(self.vars, other)
-
     def __add__(self, other):
         if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
-        other = self._lift(other)
-        g = math.gcd(self.den, other.den)
-        sa, sb = other.den // g, self.den // g
-        nums = dict(self.nums) if sa == 1 else {k: v * sa for k, v in self.nums.items()}
-        get = nums.get
-        for k, v in other.nums.items():
-            s = get(k, 0) + v * sb
-            if s:
-                nums[k] = s
-            else:
-                del nums[k]
-        return _poly(self.vars, self.den * sa, nums)
+        return _dot(self.vars, ((self, 1), (other, 1)))
 
     __radd__ = __add__
 
@@ -265,10 +250,12 @@ class MultiPoly:
     def __sub__(self, other):
         if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
-        return self + (-self._lift(other))
+        return _dot(self.vars, ((self, 1), (other, -1)))
 
     def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, (MultiPoly, int, Fraction)):
+            return NotImplemented
+        return _dot(self.vars, ((self, -1), (other, 1)))
 
     def __mul__(self, other):
         if not isinstance(other, (MultiPoly, int, Fraction)):
@@ -437,8 +424,10 @@ class RingMatrix:
     def _integral(self) -> tuple[list[dict], int]:
         """(A, D) with this rational matrix equal to A / D: D the lcm of the
         entries' denominators, and each row of A a dict from column to
-        nonzero int.  Made once."""
+        nonzero int.  Made once; a polynomial matrix has no such form."""
         if self._ints is None:
+            if self._vars is not None:
+                raise TypeError(f"not a rational coefficient: a matrix over {self._vars}")
             den = math.lcm(*[c.denominator for row in self._rows for c in row])
             self._ints = [{j: c.numerator * (den // c.denominator) for j, c in enumerate(row) if c}
                           for row in self._rows], den
@@ -541,22 +530,6 @@ def charpoly(m: RingMatrix) -> list:
     return [alt_sign(n - p) * e[n - p] for p in range(n + 1)]
 
 
-def _cleared_int_rows(rows):
-    """Scale each row by the lcm of its denominators; return int rows and multipliers."""
-    out = []
-    mults = []
-    for row in rows:
-        row = list(map(_as_coeff, row))
-        nonzero = [(j, c) for j, c in enumerate(row) if c]
-        den = math.lcm(*[c.denominator for _, c in nonzero])
-        ints = [0] * len(row)
-        for j, c in nonzero:
-            ints[j] = c.numerator * (den // c.denominator)
-        out.append(ints)
-        mults.append(den)
-    return out, mults
-
-
 def _dense(row: dict, n: int) -> list[int]:
     """A sparse integer row as a list of its n entries."""
     return list(map(row.get, range(n), repeat(0)))
@@ -592,7 +565,16 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
     Columns without a pivot are skipped, so any shape is allowed.  Returns
     (rank, swap_sign, last_pivot): the sign is (-1)^(row swaps), and when
     a is square of full rank, swap_sign * last_pivot is its determinant.
+    Each row is first divided by its content, the gcd of its entries: the
+    rank stays, the contents multiply back into last_pivot, and rows
+    cleared over one common denominator shrink to their primitive parts
+    instead of all growing to the size of the row with the largest one.
     """
+    content = 1
+    for i, row in enumerate(a):
+        if (g := math.gcd(*row)) > 1:
+            a[i] = [x // g for x in row]
+            content *= g
     nrows = len(a)
     ncols = len(a[0])
     piv_r = 0
@@ -613,25 +595,25 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:
             a[i][c] = 0
         prev = a[piv_r][c]
         piv_r += 1
-    return piv_r, sign, prev
+    return piv_r, sign, prev * content
 
 
 def det_exact(m: RingMatrix) -> Fraction:
     """Exact determinant via Bareiss fraction-free elimination.
 
-    Row denominators are cleared first, so the elimination runs entirely
-    over Z; the final division undoes the clearing.
+    The elimination runs on the once-cleared A of m = A / D
+    (``RingMatrix._integral``), entirely over Z, so det(m) = det(A) / D^n.
     """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    a, mults = _cleared_int_rows(m.rows)
-    rank, sign, last = _bareiss(a)
-    if rank < len(a):
+    ints, den = m._integral()
+    rank, sign, last = _bareiss([_dense(row, m.ncols) for row in ints])
+    if rank < m.nrows:
         return Fraction(0)
-    return Fraction(sign * last, math.prod(mults))
+    return Fraction(sign * last, den ** m.nrows)
 
 
 def rank_exact(m: RingMatrix) -> int:
-    """Exact rank via fraction-free elimination; rectangular input allowed."""
-    a, _ = _cleared_int_rows(m.rows)
-    return _bareiss(a)[0]
+    """Exact rank via fraction-free elimination of the once-cleared A of
+    m = A / D; rectangular input allowed."""
+    return _bareiss([_dense(row, m.ncols) for row in m._integral()[0]])[0]

@@ -367,6 +367,16 @@ def test_form_file_with_an_exponent_exits_2(tmp_path, capsys):
     assert err == "binform: error: coefficient '1e400' has an exponent; write it as a decimal or p/q\n"
 
 
+def test_deeply_nested_form_file_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for argv in (("invariant", "P", "--d", "4", "--n", "2", "--p", "2"),
+                 ("bracket", "eval", "--expr", "(a b)^4 ; deg=4")):
+        code, out, err = run(capsys, *argv, "--form", str(deep))
+        assert code == 2 and out == ""
+        assert err == "binform: error: a form file nested too deeply to read as JSON\n"
+
+
 def test_form_file_with_float_or_bool_coefficients_exits_2(tmp_path, capsys):
     bad = tmp_path / "float.json"
     bad.write_text('{"d": 4, "coeffs": [0.1, true, "0", "0", 1]}')

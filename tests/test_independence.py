@@ -17,7 +17,7 @@ from binform.independence import (
     unstable_minor,
 )
 from binform.invariants import trace_invariant, transvection_matrix
-from binform.polyring import RingMatrix, _cleared_int_rows, det_exact, rank_exact
+from binform.polyring import RingMatrix, det_exact, rank_exact
 from binform.transvect import t_coeff
 
 
@@ -174,13 +174,15 @@ def test_rank_mod_p_equals_exact_rank_on_low_rank_matrices():
 
 
 def test_rank_falls_back_to_bareiss_when_short_mod_p(monkeypatch):
+    # the fallback eliminates the integer rows N_r, one Bareiss run per form
     exact_calls = []
+    bareiss = independence._bareiss
 
-    def counted(m):
-        exact_calls.append(m.nrows)
-        return rank_exact(m)
+    def counted(rows):
+        exact_calls.append(len(rows))
+        return bareiss(rows)
 
-    monkeypatch.setattr(independence, "rank_exact", counted)
+    monkeypatch.setattr(independence, "_bareiss", counted)
     rng = random.Random(1)
     zero = BinaryForm([0] * 9)
     assert jacobian_rank(zero) == 0 and exact_calls == [4]  # rank 0 is never proved mod p
@@ -222,7 +224,8 @@ def _dense_gradient_rows(form, modulus=None):
     binoms = [math.comb(2 * k, s) for s in range(2 * k + 1)]
     e = math.lcm(*binoms)
     w = [[alt_sign(k - i) * math.comb(k, j) * (e // binoms[j - i + k]) for j in range(k + 1)] for i in range(k + 1)]
-    (f,), (fden,) = _cleared_int_rows([form.coeffs])
+    fden = math.lcm(*[c.denominator for c in form.coeffs])
+    f = [c.numerator * (fden // c.denominator) for c in form.coeffs]
     a = [[f[i - j + k] * w[j][i] for j in range(k + 1)] for i in range(k + 1)]
     d = fden * e
     if modulus is not None:

@@ -134,6 +134,18 @@ def test_packed_field_boundary():
         MultiPoly(V3, {(top, 1, 0): 1})
 
 
+def test_sums_refuse_floats_and_other_variable_lists():
+    p = _var(0) + Fraction(1, 2)
+    other = MultiPoly.variable(("x", "y", "z"), 0)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: b - a):
+        with pytest.raises(TypeError):
+            op(p, 0.5)
+        with pytest.raises(ValueError, match="polynomials over different variable lists"):
+            op(p, other)
+    with pytest.raises(ValueError, match="polynomials over different variable lists"):
+        p.__rsub__(other)  # other - p calls other.__sub__, never this
+
+
 def _random_poly(rng, nterms=4, maxdeg=3):
     terms = {}
     for _ in range(nterms):
@@ -285,6 +297,8 @@ def test_packed_core_against_reference_polynomials():
             _same(p * c, pr * c)
             _same(c * q, c * qr)
             _same(p + c, pr + c)
+            _same(c + q, c + qr)
+            _same(p - c, pr - c)
             _same(c - q, qr * -1 + c)
             if c:
                 _same(p / c, pr / c)
@@ -725,6 +739,31 @@ def test_det_bareiss_vs_charpoly_constant():
         for _ in range(6):
             m = _random_matrix(rng, n)
             assert det_exact(m) == (-1) ** n * charpoly(m)[0]
+
+
+def test_det_of_a_product_held_only_as_integers():
+    # a product is made as A / D alone; det and rank eliminate its A without
+    # its Fraction rows ever being read
+    rng = random.Random(21)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            a, b = _random_matrix(rng, n), _random_matrix(rng, n)
+            prod = a.mul(b)
+            assert det_exact(prod) == det_exact(a) * det_exact(b)
+            assert rank_exact(prod) <= min(rank_exact(a), rank_exact(b))
+            assert prod._rows is None
+            assert det_exact(prod) == det_exact(RingMatrix(prod.rows))
+
+
+def test_det_and_rank_of_plain_int_entries():
+    m = RingMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    assert det_exact(m) == 4 and type(det_exact(m)) is Fraction
+    assert rank_exact(m) == 3
+    singular = RingMatrix([[1, 2, 3], [2, 4, 6], [0, 0, 5]])
+    assert det_exact(singular) == 0 and rank_exact(singular) == 2
+    assert rank_exact(RingMatrix([[0, 0], [0, 0], [3, 0]])) == 1
+    assert det_exact(RingMatrix([[7]])) == 7
+    assert det_exact(RingMatrix([[2, 4], [3, 9]])) == 6  # row contents 2 and 3
 
 
 def test_det_example():
