@@ -34,6 +34,7 @@ from .invariants import (
     charpoly_invariants,
     octavic_identity_report,
     p2_closed_form,
+    p3_closed_form,
     shioda_invariant,
     trace_invariant,
     transvection_matrix,

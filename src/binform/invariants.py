@@ -10,16 +10,25 @@ x1^(n-i) x2^i, i = 0..n, has the single-term entries
 of powers of M and coefficients of its characteristic polynomial are SL2
 invariants of F; the matrix is built symbolically or numerically through
 one code path.
+
+M is self-adjoint for the apolar form Omega[i][j] = delta_{i+j,n}
+(-1)^i / C(n, i), that is M^T Omega = Omega M (proved at
+``_apolar_trace_product``), and so is every power of M.  A trace
+tr(M^a M^b) therefore reads only the entries on and above the
+antidiagonal of the two powers: about half the products of the plain
+pairing sum_ij (M^a)_ij (M^b)_ji.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
 
-from .exactnum import fact_product
+from .exactnum import alt_sign, fact_product
 from .forms import BinaryForm, generic_form
-from .polyring import MultiPoly, RingMatrix, charpoly, trace_product
+from .polyring import MultiPoly, RingMatrix, _dot, charpoly
+from .sixj import sixj_sum
 from .transvect import t_coeff, transvectant
 from .umbral import octavic_a_bracket, octavic_b_bracket, umbral_eval
 
@@ -59,6 +68,51 @@ def transvection_matrix(form: BinaryForm, n: int) -> RingMatrix:
     return RingMatrix(rows)
 
 
+def _apolar_trace_product(a: RingMatrix, b: RingMatrix):
+    """tr(a @ b) for two powers a, b of one transvection matrix M, from the
+    entries on and above the antidiagonal alone:
+
+        tr(ab) = 2 * sum_{i+j<n} a_ij b_ji + sum_{i+j=n} a_ij b_ji.
+
+    Proof.  The apolar form <G, H> = (G, H)_n on the order-n space has the
+    matrix Omega[i][j] = t_coeff(i, j, n, n, n) = delta_{i+j,n} (-1)^i / C(n, i)
+    in the monomial basis (only l = i survives in its sum).  Take F, G, H
+    powers of linear forms a_x^(2k), b_x^n, c_x^n.  In this normalization
+    (F, G)_k = (ab)^k a_x^k b_x^(n-k), and (X, c_x^n)_n = X(c2, -c1) for
+    any X of order n, so <(F, G)_k, H> = (ab)^k (ac)^k (bc)^(n-k); in the
+    same way <G, (F, H)_k> = (-1)^k (ab)^k (ac)^k (bc)^(n-k), and k is
+    even.  Powers of linear forms span each space, so <MG, H> = <G, MH>
+    for all G, H by trilinearity: M^T Omega = Omega M.  Entrywise,
+
+        M_(n-j, n-i) = (-1)^(i+j) C(n, j) / C(n, i) * M_ij,
+
+    and the relation passes to every power, (M^p)^T Omega = Omega M^p.
+    The involution (i, j) -> (n-j, n-i) fixes the antidiagonal and swaps
+    i + j < n with i + j > n, and it leaves a_ij b_ji unchanged: the two
+    scale factors, C(n, j)/C(n, i) for a_ij and C(n, i)/C(n, j) for b_ji,
+    cancel.  So the terms below the antidiagonal repeat those above it.
+    (For odd n the antidiagonal of every power is zero: there the relation
+    reads M_(i, n-i) = -M_(i, n-i).)
+
+    Over Q the value is one integer pairing of a's rows (``_integral``)
+    with b's columns, restricted to j <= n - i in row i; over Q[f] it is
+    one fused sum above the antidiagonal, and one more that adds twice
+    that sum to the products on the antidiagonal.  The value keeps the
+    ring, as ``trace_product`` does.
+    """
+    n = a.nrows - 1
+    variables = a._ring(b)
+    if variables is None:
+        (rows, d), (_, e) = a._integral(), b._integral()
+        total = 0
+        for i, (row, col) in enumerate(zip(rows, b._columns())):
+            total += 2 * sum(x * col[j] for j, x in row.items() if j < n - i) + row.get(n - i, 0) * col[n - i]
+        return Fraction(total, d * e)
+    rows, cols = a.rows, list(zip(*b.rows))
+    above = _dot(variables, [pair for i in range(n) for pair in zip(rows[i][:n - i], cols[i][:n - i])])
+    return _dot(variables, [(above, 2)] + [(rows[i][n - i], cols[i][n - i]) for i in range(n + 1)])
+
+
 def trace_invariant(form: BinaryForm, n: int, p: int):
     """tr(M^p) for the transvection matrix M.
 
@@ -68,9 +122,11 @@ def trace_invariant(form: BinaryForm, n: int, p: int):
     Computed as sum_ij (M^a)_ij (M^b)_ji with a = ceil(p/2), b = floor(p/2):
     one running power up to M^a, keeping M^b on the way, so ceil(p/2) - 1
     matrix products and one pairing instead of the p - 1 products of M^p.
-    The matrix and its powers keep the form's ring, so the value is a
-    Fraction for a numeric form and a MultiPoly for a symbolic one, zero
-    included.
+    Since M^T Omega = Omega M for the apolar form Omega, the pairing
+    (``_apolar_trace_product``) reads only the entries on and above the
+    antidiagonal, which about halves its products.  The matrix and its
+    powers keep the form's ring, so the value is a Fraction for a numeric
+    form and a MultiPoly for a symbolic one, zero included.
     """
     if p < 1:
         raise ValueError("power must be >= 1")
@@ -79,7 +135,7 @@ def trace_invariant(form: BinaryForm, n: int, p: int):
     for e, power in enumerate(m.powers(a), 1):
         if e == b:
             half = power
-    return trace_product(power, half) if b else power.trace()
+    return _apolar_trace_product(power, half) if b else power.trace()
 
 
 def charpoly_invariants(form: BinaryForm, n: int) -> list:
@@ -133,6 +189,21 @@ def p2_closed_form(form: BinaryForm, n: int):
     k = _check_fk(form, n)
     const = fact_product([n - k, n + k + 1, k, k], [n, n, 2 * k + 1])
     return const * transvectant(form, form, 2 * k).constant()
+
+
+def p3_closed_form(form: BinaryForm, n: int):
+    """Closed form of the cubic trace invariant, through the 6j sum S(k, n):
+
+        tr(M^3) = (-1)^(n-k) S(k, n) / C(n, k)^3 * (F, (F, F)_k)_{2k}
+
+    It builds no matrix (one ``sixj_sum`` and two transvectants), so it is
+    an independent oracle for ``trace_invariant`` at p = 3, the route that
+    pairs M^2 with M.  It vanishes for every F where S(k, n) does, as at
+    (k, n) = (2, 3).
+    """
+    k = _check_fk(form, n)
+    const = Fraction(alt_sign(n - k) * sixj_sum(k, n), math.comb(n, k) ** 3)
+    return const * transvectant(form, transvectant(form, form, k), 2 * k).constant()
 
 
 def covariant_hash(x) -> str:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,16 +15,18 @@ from binform.forms import (
     unstable_form,
 )
 from binform.invariants import (
+    _apolar_trace_product,
     charpoly_invariant,
     charpoly_invariants,
     octavic_identity_report,
     p2_closed_form,
+    p3_closed_form,
     shioda_invariant,
     trace_invariant,
     transvection_matrix,
 )
-from binform.polyring import MultiPoly
-from binform.transvect import transvectant
+from binform.polyring import MultiPoly, trace_product
+from binform.transvect import t_coeff, transvectant
 
 X14 = BinaryForm([1, 0, 0, 0, 1])  # x1^4 + x2^4
 X18 = BinaryForm([1] + [0] * 7 + [1])  # x1^8 + x2^8
@@ -93,7 +96,8 @@ def test_trace_linear_invariant_vanishes_symbolically():
         assert trace_invariant(generic_form(d), n, 1) == 0
 
 
-ORACLE_SHAPES = ((4, 2), (4, 3), (8, 4), (8, 6), (12, 6))
+# odd n (antisymmetric apolar form) at (4, 3), (4, 5), (8, 5), (8, 7), (12, 7)
+ORACLE_SHAPES = ((4, 2), (4, 3), (4, 5), (8, 4), (8, 5), (8, 6), (8, 7), (12, 6), (12, 7))
 
 
 @pytest.mark.parametrize("d,n", ORACLE_SHAPES)
@@ -108,6 +112,41 @@ def test_half_power_trace_equals_full_power_trace(d, n):
             value = trace_invariant(f, n, p)
             assert type(value) is kind
             assert value == power.trace()
+
+
+def test_transvection_matrix_is_self_adjoint_for_the_apolar_form():
+    # M^T Omega = Omega M entrywise, as a t_coeff identity with s = i - j + k:
+    # C(n, i) t(s, n - i) = (-1)^(i+j) C(n, j) t(s, j), exact on a window
+    for k in range(2, 13, 2):
+        for n in range(k, 3 * k + 3):
+            for i in range(n + 1):
+                for j in range(max(0, i - k), min(n, i + k) + 1):
+                    s = i - j + k
+                    assert (math.comb(n, i) * t_coeff(s, n - i, 2 * k, n, k)
+                            == alt_sign(i + j) * math.comb(n, j) * t_coeff(s, j, 2 * k, n, k)), (k, n, i, j)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (2, 4, 6) for n in range(k, k + 6)])
+def test_apolar_pairing_equals_the_full_pairing(k, n):
+    # every ordered pair of powers up to M^5 at two seeded forms; at the
+    # generic form every pair for k = 2, and total degree <= 6 for k = 4, 6,
+    # where the symbolic oracle would take seconds per shape
+    rng = random.Random(k * 100 + n)
+    ring = generic_form(2 * k).coeffs[0].vars
+    zero = BinaryForm([MultiPoly.zero(ring)] * (2 * k + 1))
+    cases = [(generic_form(2 * k), MultiPoly, 10 if k == 2 else 6), (zero, MultiPoly, 10),
+             (random_form(2 * k, rng), Fraction, 10), (random_form(2 * k, rng), Fraction, 10)]
+    for f, kind, top in cases:
+        powers = list(transvection_matrix(f, n).powers(5))
+        for a, pa in enumerate(powers, 1):
+            for b, pb in enumerate(powers, 1):
+                if a + b <= top:
+                    value = _apolar_trace_product(pa, pb)
+                    assert type(value) is kind and value == trace_product(pa, pb), (a, b)
+                    if kind is MultiPoly:
+                        assert value.vars == ring
+                    if f is zero or (k, n, a + b) == (2, 3, 3):
+                        assert not value
 
 
 def test_vanishing_trace_has_the_ring_type():
@@ -290,6 +329,23 @@ def test_p2_closed_form_matches_trace_symbolically():
 def test_p2_closed_form_vanishes_on_unstable():
     for n in (2, 3, 5):
         assert p2_closed_form(unstable_form(2), n) == 0
+
+
+@pytest.mark.parametrize("k,n_max", [(2, 8), (4, 8), (6, 7)])
+def test_p3_closed_form_matches_trace_symbolically(k, n_max):
+    f = generic_form(2 * k)
+    for n in range(k, n_max + 1):
+        assert p3_closed_form(f, n) == trace_invariant(f, n, 3), n
+
+
+def test_p3_closed_form_matches_trace_numerically():
+    rng = random.Random(5)
+    for k in (2, 4, 6):
+        for f in (random_form(2 * k, rng), random_form(2 * k, rng)):
+            for n in range(k, 3 * k + 3):
+                value = p3_closed_form(f, n)
+                assert type(value) is Fraction and value == trace_invariant(f, n, 3), (k, n)
+    assert p3_closed_form(random_form(4, rng), 3) == 0  # S(2, 3) = 0
 
 
 def test_cubic_trace_vanishes_for_quartics_at_n3():
