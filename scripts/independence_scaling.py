@@ -4,7 +4,9 @@ rank, the minor, and the wall time, then the Jacobian rank at a random
 integer form (seed 0, the certificate's own random point) with its own
 time.  Both ranks come from the modular proof of ``jacobian_rank``, which
 runs one integer matrix power mod a prime, so this scales far beyond the
-symbolic route.
+symbolic route.  Exits 1 at the first k whose witness certificate fails
+or whose random-point rank is not k (at seed 0 it is k for every even
+k <= 60).
 
 usage: independence_scaling.py [K_MAX]    (default 10)
 """
@@ -32,7 +34,7 @@ def main() -> int:
             minor = minor[:45] + "..."
         print(f"{k:>4} {cert['rank']:>5} {str(cert['pass']):>5} {elapsed:>8.3f} "
               f"{rand_rank:>5} {rand_elapsed:>8.3f}  {minor}")
-        if not cert["pass"]:
+        if not cert["pass"] or rand_rank != k:
             return 1
     return 0
 

@@ -13,14 +13,18 @@ row r of the Jacobian is a nonzero rational multiple of the integer row
 
     N_r[s] = sum_{j-i+k=s} (A^(r-1))_ij W_ij,
 
-and one running integer power of A serves every row.  Its products are
+and one running integer power of A serves every row.  W_ij factors as
+(-1)^(k-i) C(k, j) E / C(2k, s), so it is held as two vectors and never
+as a table (``_weights``).  The products of the running power are
 ``polyring._times``, the package's one integer matrix product, on sparse
 rows (column -> nonzero int), and the form is cleared to F / D_f as a
 one-row matrix (``RingMatrix._integral``), the package's one clearing
-rule.  The rank route runs the loop mod a prime (see ``jacobian_rank``)
-and, should that rank fall short, eliminates the integer rows N_r
-themselves; only the public oracle ``jacobian_matrix`` builds Fractions,
-one per entry.
+rule.  The rank route runs the loop mod a prime (see ``jacobian_rank``):
+there A is packed once (``polyring._right_factor``), and a dense row of
+a product is one big-int multiply-add per nonzero entry.  Should that
+rank fall short, the route eliminates the integer rows N_r themselves;
+only the public oracle ``jacobian_matrix`` builds Fractions, one per
+entry.
 
 Specializing at the nullcone form x1^(k-1) x2^(k+1) collapses each row
 to a single entry with an explicit closed form in N(k, r); the k x k minor
@@ -41,7 +45,7 @@ from .combsum import nkr
 from .exactnum import alt_sign, binom_ext
 from .forms import BinaryForm, random_form, unstable_form
 from .invariants import _check_fk
-from .polyring import RingMatrix, _bareiss, _dense, _times
+from .polyring import RingMatrix, _bareiss, _right_factor, _times
 
 # The prime of the modular rank proof: the largest below 2^30, so that a
 # residue fits one 30-bit digit of a Python int and products stay small.
@@ -50,18 +54,18 @@ from .polyring import RingMatrix, _bareiss, _dense, _times
 RANK_PRIME = 2**30 - 35
 
 
-def _weights(k: int) -> tuple[list[list[int]], int]:
-    """(W, E) with t_coeff(j-i+k, i, 2k, k, k) == W[i][j] / E.
+def _weights(k: int) -> tuple[list[int], list[int], int]:
+    """(C, Q, E) with t_coeff(j-i+k, i, 2k, k, k) == (-1)^(k-i) C[j] Q[j-i+k] / E.
 
     The order of G equals the transvectant index k, so the sum in t_coeff
     has the single term l = k - i, and the weight is
-    (-1)^(k-i) C(k, j) / C(2k, j-i+k); E is the lcm of the C(2k, s).
+    (-1)^(k-i) C(k, j) / C(2k, j-i+k); E is the lcm of the C(2k, s), and
+    Q[s] = E / C(2k, s).  The weight table W[i][j] = (-1)^(k-i) C[j] Q[j-i+k]
+    is never formed: two vectors of k+1 and 2k+1 ints stand for it.
     """
     binoms = [math.comb(2 * k, s) for s in range(2 * k + 1)]
     e = math.lcm(*binoms)
-    quotients = [e // b for b in binoms]
-    combs = [math.comb(k, j) for j in range(k + 1)]
-    return [[alt_sign(k - i) * c * q for c, q in zip(combs, quotients[k - i:])] for i in range(k + 1)], e
+    return [math.comb(k, j) for j in range(k + 1)], [e // b for b in binoms], e
 
 
 def _gradient_rows(form: BinaryForm, modulus: int | None = None):
@@ -71,39 +75,48 @@ def _gradient_rows(form: BinaryForm, modulus: int | None = None):
 
     M_ij = f_(i-j+k) W_ji / E is linear in the form, so clearing the form
     to F / D_f (``RingMatrix._integral`` of the one-row matrix of its
-    coefficients) gives M = A / D with A_ij = F_(i-j+k) W_ji and D = D_f E.
-    The loop carries one integer running power P = A^(r-1), so
-    M^(r-1) = P / D^(r-1), and row[s] = sum_{j-i+k=s} P_ij W_ij; the
-    scale is then r / (D^(r-1) E) in closed form.  P is held as sparse
-    rows (``polyring._times``), and the reduction and the row sums touch
-    its nonzero entries only, so at the witness, where every power has at
+    coefficients) gives M = A / D with A_ij = F_(i-j+k) W_ji and D = D_f E,
+    where W_ij = (-1)^(k-i) C[j] Q[j-i+k] (``_weights``).  The loop carries
+    one integer running power P = A^(r-1), so M^(r-1) = P / D^(r-1), and
+
+        row[s] = sum_{j-i+k=s} P_ij W_ij
+               = Q[s] * sum_{j-i+k=s} (-1)^(k-i) C[j] P_ij,
+
+    the inner sums taken over the rows i of each sign apart; the scale is
+    then r / (D^(r-1) E) in closed form.  P is held as sparse rows
+    (``polyring._times``), and the reduction and the row sums touch its
+    nonzero entries only, so at the witness, where every power has at
     most one nonzero entry per row, a product costs O(k).  With a
-    modulus, P and the rows are reduced mod it and scale is None.
+    modulus, P and the rows are reduced mod it, the right factor A is
+    packed once for the packed route of ``_times``, and scale is None.
     """
     if not form.is_numeric():
         raise ValueError("the Jacobian is evaluated at numeric forms")
     k = _check_fk(form, form.degree // 2)
     n = k + 1
-    w, e = _weights(k)
+    combs, quotients, e = _weights(k)
     (f,), fden = RingMatrix([form.coeffs])._integral()
-    a = [{j: x * w[j][i] for s, x in f.items() if 0 <= (j := i - s + k) <= k} for i in range(n)]
+    a = [{j: alt_sign(k - j) * c * quotients[s] * x for s, x in f.items() if 0 <= (j := i - s + k) <= k}
+         for i, c in enumerate(combs)]
     d = fden * e  # M = A / d
     if modulus is not None:
         a = [{j: v for j, x in row.items() if (v := x % modulus)} for row in a]
-        w = [[x % modulus for x in row] for row in w]
-    cols = list(zip(*[_dense(row, n) for row in a]))
+        combs = [c % modulus for c in combs]
+        quotients = [x % modulus for x in quotients]
+    right = _right_factor(a, n, modulus)
     power = a
     for r in range(2, k + 2):
         if r > 2:
-            power = _times(power, a, cols, modulus)
-        row = [0] * (2 * k + 1)
-        for shift, prow, wrow in zip(range(k, -1, -1), power, w):  # s = j + k - i
+            power = _times(power, a, right, modulus)
+        plus, minus = sums = [0] * (2 * k + 1), [0] * (2 * k + 1)  # rows i with (-1)^(k-i) = +1, -1
+        for shift, prow in zip(range(k, -1, -1), power):  # s = j + k - i
+            part = sums[shift & 1]
             for j, x in prow.items():
-                row[j + shift] += x * wrow[j]
+                part[j + shift] += x * combs[j]
         if modulus is None:
-            yield Fraction(r, d ** (r - 1) * e), row
+            yield Fraction(r, d ** (r - 1) * e), [q * (x - y) for q, x, y in zip(quotients, plus, minus)]
         else:
-            yield None, [x % modulus for x in row]
+            yield None, [q * (x - y) % modulus for q, x, y in zip(quotients, plus, minus)]
 
 
 def jacobian_matrix(form: BinaryForm) -> RingMatrix:

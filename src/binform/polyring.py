@@ -50,7 +50,12 @@ entries are built only when ``rows`` is read.  ``_times`` is the one
 integer matrix product of the package (the Jacobian's running power uses
 it too, mod a prime): a row with few nonzero entries combines the
 nonzero entries of the rows of the right operand it selects, a denser
-row takes dot products with the columns.  A rational matrix keeps the
+row takes dot products with the columns.  Mod p, a denser row is one
+big-int sum instead: each row of the right operand is packed once
+into one int of fixed-width slots (Kronecker substitution), so a product
+row is sum_j x_j * packed(B_j), one multiply-add per nonzero entry, read
+back slot by slot and reduced mod p.  ``_right_factor`` makes the dense
+form a product reads, once per right factor: a rational matrix keeps the
 dense integer columns of A once made, so a running power makes those of
 M once.  A polynomial product or pairing hands its entries to ``_dot`` as
 they are, rationals and zeros included.  The characteristic
@@ -70,6 +75,7 @@ import math
 from fractions import Fraction
 from itertools import repeat, starmap
 from operator import itemgetter, mul
+from struct import calcsize, unpack
 
 from .exactnum import alt_sign
 
@@ -438,7 +444,7 @@ class RingMatrix:
         matrix, made once: a running power multiplies by the same right
         factor at every step."""
         if self._cols is None:
-            self._cols = list(zip(*[_dense(row, self.ncols) for row in self._integral()[0]]))
+            self._cols = _right_factor(self._integral()[0], self.ncols)
         return self._cols
 
     def _ring(self, other: "RingMatrix"):
@@ -535,14 +541,65 @@ def _dense(row: dict, n: int) -> list[int]:
     return list(map(row.get, range(n), repeat(0)))
 
 
-def _times(a: list[dict], b: list[dict], b_cols, modulus: int | None = None) -> list[dict]:
+def _slot(bits: int) -> str:
+    """The struct codes of a slot of at least ``bits`` bits, its fields
+    least significant first: one of B, H, I, Q, or Q and one of them."""
+    size = -(-bits // 8)
+    if size > 16:
+        raise ValueError(f"a packed slot of {bits} bits exceeds 128 bits")
+    high = size - 8 if size > 8 else size
+    code = next(c for c, width in (("B", 1), ("H", 2), ("I", 4), ("Q", 8)) if width >= high)
+    return "Q" + code if size > 8 else code
+
+
+def _right_factor(b: list[dict], ncols: int, modulus: int | None = None):
+    """The dense form of the sparse integer rows b that ``_times`` reads,
+    made once per right factor, since a running power multiplies by the
+    same one at every step: b's dense columns for the exact product, and
+    mod ``modulus`` the triple (packed rows, slot, ncols) of the packed
+    route.
+
+    The slot is the narrowest struct layout (``_slot``), w bits, with
+    n*(modulus-1)^2 < 2^w, n = len(b).  Packed row j is
+    sum_t b[j][t] * 2^(w*t), one slot per entry, so b must hold residues,
+    ints in [0, modulus).  Each row is written as little-endian bytes,
+    slot by slot, and read back as one int, whatever the host's byte
+    order.
+    """
+    if modulus is None:
+        return list(zip(*[_dense(row, ncols) for row in b]))
+    slot = _slot((len(b) * (modulus - 1) ** 2).bit_length())
+    size = calcsize("<" + slot)
+    return [int.from_bytes(b"".join(x.to_bytes(size, "little") for x in _dense(row, ncols)), "little")
+            for row in b], slot, ncols
+
+
+def _times(a: list[dict], b: list[dict], right, modulus: int | None = None) -> list[dict]:
     """The integer product a @ b of sparse rows (dicts from column to
-    nonzero int), given b's dense columns too, and reduced mod
-    ``modulus`` if one is given.  A row of a with fewer nonzero entries
-    than half its length (the Jacobian witness's powers have at most one)
-    combines the nonzero entries of the rows of b it selects; a denser row
-    takes dot products with the columns.  Entries that vanish are dropped."""
+    nonzero int), given b's dense form ``right`` from ``_right_factor``
+    too, and reduced mod ``modulus`` if one is given.  Entries that vanish
+    are dropped.
+
+    A row of a with fewer nonzero entries than half its length (the
+    Jacobian witness's powers have at most one) combines the nonzero
+    entries of the rows of b it selects.  A denser row, exactly, takes
+    dot products with b's columns; mod ``modulus``, where a and b hold
+    residues, it is the one big-int sum S = sum_j x_j * packed(b_j) over
+    its nonzero entries x_j.  No slot of S carries into the next: slot t
+    of S is sum_j x_j b_jt, at most n terms each at most (modulus-1)^2,
+    so it is at most n*(modulus-1)^2 < 2^w (``_right_factor``), and S is
+    the integer whose w-bit digits are the exact entries of the product
+    row.  S is written as little-endian bytes and read back by an
+    explicitly little-endian struct format ("<"), so unpacking does not
+    depend on the host byte order; a slot of two fields is its high field
+    shifted over its low 64 bits.  Each entry is then reduced mod
+    ``modulus``.
+    """
     n = len(b)
+    if modulus is not None:
+        packed, slot, m = right
+        fmt = "<" + slot * m
+        nbytes = calcsize(fmt)
     out = []
     for row in a:
         if 2 * len(row) < n:
@@ -552,9 +609,12 @@ def _times(a: list[dict], b: list[dict], b_cols, modulus: int | None = None) -> 
                 for t, y in b[j].items():
                     acc[t] = get(t, 0) + x * y
             sums = acc.items()
-        else:
+        elif modulus is None:
             row = _dense(row, n)
-            sums = enumerate([sum(map(mul, row, col)) for col in b_cols])
+            sums = enumerate([sum(map(mul, row, col)) for col in right])
+        else:
+            words = unpack(fmt, sum(map(mul, row.values(), map(packed.__getitem__, row))).to_bytes(nbytes, "little"))
+            sums = enumerate(words if len(slot) == 1 else [hi << 64 | lo for lo, hi in zip(words[::2], words[1::2])])
         out.append({t: r for t, v in sums if (r := v % modulus)} if modulus else dict(filter(itemgetter(1), sums)))
     return out
 

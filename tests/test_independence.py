@@ -259,13 +259,15 @@ def test_sparse_gradient_rows_against_dense_loop(monkeypatch):
     # the sparse running power, mod p and exact, against the dense loop:
     # the witness for every even k <= 30, seeded random forms for k <= 16,
     # and forms with 1-3 nonzero coefficients, whose power rows fall on
-    # both sides of the density choice in polyring._times
+    # both sides of the density choice in polyring._times: the sparse
+    # route, and the packed route mod p or the column route exactly
     routes = set()
     times = independence._times
 
-    def spy(a, b, b_cols, modulus=None):
-        routes.update("sparse" if 2 * len(row) < len(b) else "dense" for row in a)
-        return times(a, b, b_cols, modulus)
+    def spy(a, b, right, modulus=None):
+        dense = "dense" if modulus is None else "packed"
+        routes.update("sparse" if 2 * len(row) < len(b) else dense for row in a)
+        return times(a, b, right, modulus)
 
     monkeypatch.setattr(independence, "_times", spy)
     rng = random.Random(30)
@@ -280,6 +282,10 @@ def test_sparse_gradient_rows_against_dense_loop(monkeypatch):
     routes.clear()
     for f in sparse:
         list(independence._gradient_rows(f, RANK_PRIME))
+    assert routes == {"sparse", "packed"}
+    routes.clear()
+    for f in sparse:
+        list(independence._gradient_rows(f))
     assert routes == {"sparse", "dense"}
 
 
@@ -294,3 +300,21 @@ def test_certificate_closed_form_against_nkr_and_minor():
         antidiagonal = math.prod(jac[r - 2, k - r + 1] for r in range(2, k + 2))
         assert cert["minor"] == str(unstable_minor(k)) == str(alt_sign(k * (k - 1) // 2) * antidiagonal)
         assert cert["rank"] == k and cert["pass"] is True
+
+
+def test_scaling_script_exits_1_on_a_short_random_point_rank(monkeypatch, capsys):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parents[1] / "scripts" / "independence_scaling.py"
+    spec = importlib.util.spec_from_file_location("independence_scaling", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr("sys.argv", [str(path), "6"])
+    assert script.main() == 0
+    assert [line.split()[4] for line in capsys.readouterr().out.splitlines()[1:]] == ["2", "4", "6"]
+    # a random-point rank one short at k = 4 stops the table there, even
+    # though every witness certificate passes
+    monkeypatch.setattr(script, "jacobian_rank", lambda form: form.degree // 2 - (form.degree == 8))
+    assert script.main() == 1
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["2", "4"]
