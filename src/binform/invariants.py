@@ -145,9 +145,11 @@ def charpoly_invariants(form: BinaryForm, n: int) -> list:
     charpoly_invariant).  The same Newton recurrence serves numeric and
     symbolic forms: the coefficients are Fractions for a numeric form and
     MultiPolys in f0..fd for a symbolic one, apart from the leading
-    Fraction 1.
+    Fraction 1.  Every trace in the recurrence pairs two powers of the
+    transvection matrix, so it takes the apolar pairing
+    (``_apolar_trace_product``), as ``trace_invariant`` does.
     """
-    return charpoly(transvection_matrix(form, n))
+    return charpoly(transvection_matrix(form, n), _apolar_trace_product)
 
 
 def charpoly_invariant(form: BinaryForm, n: int, p: int):

@@ -501,7 +501,7 @@ def trace_product(a: RingMatrix, b: RingMatrix):
     return _dot(variables, [pair for row, col in zip(a.rows, zip(*b.rows)) for pair in zip(row, col)])
 
 
-def charpoly(m: RingMatrix) -> list:
+def charpoly(m: RingMatrix, pairing=trace_product) -> list:
     """Coefficients of det(lambda*Id - M), listed from lambda^0 up, monic.
 
     Computed from the traces of matrix powers by the Newton recurrence
@@ -510,11 +510,13 @@ def charpoly(m: RingMatrix) -> list:
     entries may be ints, Fractions or MultiPolys (a RingMatrix refuses
     anything else, a float say, with TypeError).  The leading 1 is a
     Fraction.  The traces come from M, ..., M^ceil(n/2) alone, two powers
-    held at a time: tr(M^j) is the pairing ``trace_product`` of
-    M^ceil(j/2) with M^floor(j/2).  Over Q the powers are integer matrices
-    over D, D^2, ... (``RingMatrix._integral``) and each trace is one
-    integer pairing.  Each sum of the recurrence is one ``_dot`` over the
-    matrix's ring.
+    held at a time: tr(M^j) is ``pairing`` of M^ceil(j/2) with
+    M^floor(j/2).  The default ``trace_product`` pairs any two matrices;
+    over Q it is one integer pairing of the integer powers over D, D^2,
+    ... (``RingMatrix._integral``).  Another pairing is valid when it
+    equals tr(a @ b) whenever both arguments are powers of M, as the
+    apolar pairing of ``invariants`` does for a transvection matrix.
+    Each sum of the recurrence is one ``_dot`` over the matrix's ring.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -523,9 +525,9 @@ def charpoly(m: RingMatrix) -> list:
     prev = None
     for a, power in enumerate(m.powers((n + 1) // 2), 1):
         # tr(M^(2a-1)) pairs M^a with M^(a-1), tr(M^(2a)) pairs M^a with itself
-        traces.append(m.trace() if prev is None else trace_product(power, prev))
+        traces.append(m.trace() if prev is None else pairing(power, prev))
         if 2 * a <= n:
-            traces.append(trace_product(power, power))
+            traces.append(pairing(power, power))
         prev = power
     signed = [-t if j % 2 else t for j, t in enumerate(traces)]  # (-1)^(j-1) tr(M^j) at j - 1
     e = [Fraction(1)]

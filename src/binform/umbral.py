@@ -10,12 +10,20 @@ and substitutes, for each letter u of degree d, the monomial u1^(d-i) u2^i
 by f_i(u) / C(d, i), where f_i(u) is the i-th coefficient of the form
 assigned to u.  Letters are contracted one at a time, each substituted as
 soon as all its factors are in, so the full expansion is never built.
-The running values are int numerator dicts over packed exponent keys
-(polyring's storage), over one denominator shared by all of them: a
-numeric coefficient is the constant key 0, so numeric and symbolic forms
-take one path, and spreading a bracket or substituting a letter is an
-integer multiply-add (polyring's ``_mac``) with no MultiPoly per term.
-Only the final coefficients become Fractions or MultiPolys.
+The running state maps an index key to a value.  The key is one packed
+int: a field for the power of x2 and one per letter for its u2 exponent
+so far, each as wide as the bit length of the largest letter degree or
+the order, so no field carries; a term of a bracket adds a fixed offset
+to the key, and closing a letter reads and clears its field with a shift
+and a mask.  Letters close in a greedy order, each time the one that
+leaves the fewest index combinations open, so a cycle is closed along
+the cycle whatever order its text names the letters in.  The values are
+int numerator dicts over packed exponent keys (polyring's storage), over
+one denominator shared by all of them: a numeric coefficient is the
+constant key 0, so numeric and symbolic forms take one path, and
+spreading a bracket or substituting a letter is an integer multiply-add
+with no MultiPoly per term.  Only the final coefficients become
+Fractions or MultiPolys.
 Dividing by the binomial is the unique normalization under which
 
     (a b)^k a_x^(m-k) b_x^(n-k)  evaluates to  transvectant(F, G, k)
@@ -128,6 +136,43 @@ class BracketMonomial:
         return sum(self.x_powers.values())
 
 
+def _closing_order(mono: BracketMonomial) -> list[str]:
+    """The letters in the order ``umbral_eval`` closes them: greedily, the
+    letter after whose closing the fewest index combinations stay open.
+
+    A letter v still open has seen r brackets' exponents from closed
+    letters, so its u2 exponent ranges over min(r, deg v) + 1 values; the
+    power of x2 ranges over (the closed letters' x powers) + 1.  The
+    estimate is the product of these ranges; ties go to the earlier
+    letter.  A cycle is closed along the cycle, whatever its text order,
+    so no more than two of its letters are open at a time.
+    """
+    edges, degrees, x_powers = mono.edges, mono.degrees, mono.x_powers
+
+    def link(u, v):
+        return edges.get((u, v), 0) + edges.get((v, u), 0)
+
+    def open_after(c):
+        size = x_range + x_powers.get(c, 0) + 1
+        for v in open_letters:
+            if v != c:
+                size *= min(reach[v] + link(c, v), degrees[v]) + 1
+        return size
+
+    reach = dict.fromkeys(mono.letters, 0)
+    x_range = 0
+    order = []
+    open_letters = list(mono.letters)
+    while open_letters:
+        c = min(open_letters, key=open_after)  # on a tie, min keeps the earlier letter
+        open_letters.remove(c)
+        order.append(c)
+        x_range += x_powers.get(c, 0)
+        for v in open_letters:
+            reach[v] += link(c, v)
+    return order
+
+
 def umbral_eval(mono: BracketMonomial, assignment: dict[str, BinaryForm]) -> BinaryForm:
     """Contract the monomial letter by letter, substituting forms as it goes.
 
@@ -135,15 +180,23 @@ def umbral_eval(mono: BracketMonomial, assignment: dict[str, BinaryForm]) -> Bin
     letter's tag; coefficients may be numeric or symbolic.  The result is a
     form of order sum of the x powers (order 0 for invariants).
 
-    Running values are kept per index key, the u2 exponent of each letter
-    and the power of x2, as int numerators over one shared denominator.
-    Letter u multiplies in its brackets with later letters and its x
-    power, then is closed: its exponent i becomes the factor
-    f_i(u) / C(d, i) and its slot is reset.  So keys range over the open
-    letters only: two for a cycle, whose contraction is the matrix power
-    behind trace_invariant.  The coefficients are Fractions when every
-    assigned coefficient is rational and MultiPolys otherwise; all
-    MultiPoly coefficients must share one variable list.
+    Running values are kept per index key: one packed int with a field for
+    the power of x2 (the lowest) and one per letter for its u2 exponent.
+    Every field is W bits wide, W the bit length of the largest letter
+    degree or of the order, and no field exceeds its letter's degree or
+    the order, so none carries.  Each value is a dict of int numerators
+    over one denominator shared by all of them.  Letters close in the
+    order of ``_closing_order``.  Letter u multiplies in each bracket
+    with a letter still open and its x power: the term l of (u v)^e, with
+    u before v in the letter order, adds l to u's field and e - l to v's,
+    a fixed offset with weight (-1)^l C(e, l).  Then u is closed: its
+    field i, read by a shift and a mask, becomes the factor
+    f_i(u) / C(d, i) and is cleared.  So keys range over the letters that
+    have seen a bracket and are still open: two for a cycle, whose
+    contraction is the matrix power behind trace_invariant.  The
+    coefficients are Fractions when every assigned coefficient is
+    rational and MultiPolys otherwise; all MultiPoly coefficients must
+    share one variable list.
     """
     for u in mono.letters:
         if u not in assignment:
@@ -162,30 +215,25 @@ def umbral_eval(mono: BracketMonomial, assignment: dict[str, BinaryForm]) -> Bin
                 elif c.vars != variables:
                     raise ValueError("polynomials over different variable lists")
     top = 0 if variables is None else FIELD_BITS * len(variables)
-    slot = {u: t for t, u in enumerate(mono.letters)}
-    x2 = len(slot)  # a key is the u2 exponent of each letter, then the power of x2
-    state = {(0,) * (x2 + 1): {0: mono.coeff.numerator}}
+    width = max([mono.order, *mono.degrees.values()]).bit_length()
+    mask = (1 << width) - 1
+    shift = {u: width * (t + 1) for t, u in enumerate(mono.letters)}  # x2 is the field at 0
+    state = {0: {0: mono.coeff.numerator}}
     den = mono.coeff.denominator  # every value in state is its int numerators over den
     degree = 0  # a bound on the total degree of the values in the ring
-    for u, s in slot.items():
+    closed_letters = set()
+    for u in _closing_order(mono):
+        closed_letters.add(u)
         # (u1 v2 - u2 v1)^e has the terms C(e,l) (u1 v2)^(e-l) (-u2 v1)^l;
         # (u1 x1 + u2 x2)^w has the terms C(w,l) u1^(w-l) u2^l x1^(w-l) x2^l.
-        factors = [(e, slot[v], True) for (a, v), e in mono.edges.items() if a == u]
-        factors += [(mono.x_powers[u], x2, False)] if u in mono.x_powers else []
-        for e, t, bracket in factors:
-            weights = [binom_ext(e, l) * (alt_sign(l) if bracket else 1) for l in range(e + 1)]
-            spread = {}
-            for key, value in state.items():
-                for l, w in enumerate(weights):
-                    nxt = list(key)
-                    nxt[s] += l
-                    nxt[t] += e - l if bracket else l
-                    nxt = tuple(nxt)
-                    acc = spread.get(nxt)
-                    if acc is None:
-                        acc = spread[nxt] = {}
-                    _mac(acc, value, None, w)
-            state = spread
+        factors = [
+            [((l << shift[a]) + ((e - l) << shift[b]), alt_sign(l) * binom_ext(e, l)) for l in range(e + 1)]
+            for (a, b), e in mono.edges.items()
+            if u in (a, b) and (b if a == u else a) not in closed_letters
+        ]
+        if u in mono.x_powers:
+            w = mono.x_powers[u]
+            factors.append([((l << shift[u]) + l, binom_ext(w, l)) for l in range(w + 1)])
         # close u: f_i(u) / C(d, i) as int numerators over one denominator
         d = mono.degrees[u]
         subst = []
@@ -199,19 +247,41 @@ def umbral_eval(mono: BracketMonomial, assignment: dict[str, BinaryForm]) -> Bin
         den *= scale
         degree += max((k >> top for nums in subst for k in nums), default=0)
         _check_degree(degree)
+        last = factors.pop() if factors else [(0, 1)]  # spread as u closes
+        for offsets in factors:
+            spread = {}
+            for key, value in state.items():
+                for off, w in offsets:
+                    nxt = key + off
+                    acc = spread.get(nxt)
+                    if acc is None:
+                        spread[nxt] = {k: v * w for k, v in value.items()}
+                    else:
+                        _mac(acc, value, None, w)
+            state = spread
+        s = shift[u]
         closed = {}
         for key, value in state.items():
-            g = subst[key[s]]
-            if g:
-                nxt = key[:s] + (0,) + key[s + 1:]
+            for off, w in last:
+                nxt = key + off
+                i = nxt >> s & mask
+                g = subst[i]
+                if not g:
+                    continue
+                nxt -= i << s
                 acc = closed.get(nxt)
                 if acc is None:
+                    if len(g) == 1:
+                        (gk, gv), = g.items()
+                        gv *= w
+                        closed[nxt] = {k + gk: v * gv for k, v in value.items()}
+                        continue
                     acc = closed[nxt] = {}
-                _mac(acc, value, g, 1)
+                _mac(acc, value, g, w)
         state = closed
     coeffs = []
     for j in range(mono.order + 1):
-        nums = {k: v for k, v in state.get((0,) * x2 + (j,), {}).items() if v}
+        nums = {k: v for k, v in state.get(j, {}).items() if v}
         coeffs.append(Fraction(nums.get(0, 0), den) if variables is None else _poly(variables, den, nums))
     return BinaryForm(coeffs)
 

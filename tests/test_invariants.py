@@ -25,7 +25,7 @@ from binform.invariants import (
     trace_invariant,
     transvection_matrix,
 )
-from binform.polyring import MultiPoly, trace_product
+from binform.polyring import MultiPoly, charpoly, trace_product
 from binform.transvect import t_coeff, transvectant
 
 X14 = BinaryForm([1, 0, 0, 0, 1])  # x1^4 + x2^4
@@ -147,6 +147,16 @@ def test_apolar_pairing_equals_the_full_pairing(k, n):
                         assert value.vars == ring
                     if f is zero or (k, n, a + b) == (2, 3, 3):
                         assert not value
+
+
+@pytest.mark.parametrize("d,n", ((4, 2), (4, 3), (4, 5), (8, 4), (8, 5)))
+def test_charpoly_invariants_equal_the_full_pairing_route(d, n):
+    # charpoly_invariants pairs the powers apolarly; charpoly's default
+    # pairing, trace_product, reads every entry and is the oracle
+    rng = random.Random(d * 10 + n)
+    for f in (generic_form(d), random_form(d, rng)):
+        m = transvection_matrix(f, n)
+        assert charpoly_invariants(f, n) == charpoly(m) == charpoly(m, trace_product)
 
 
 def test_vanishing_trace_has_the_ring_type():

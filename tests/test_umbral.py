@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from binform.polyring import MultiPoly
 from binform.transvect import transvectant
 from binform.umbral import (
     BracketMonomial,
+    _closing_order,
     cyclic_bracket,
     octavic_a_bracket,
     octavic_b_bracket,
@@ -236,21 +238,26 @@ RING = tuple(f"f{i}" for i in range(7))
 
 
 def _random_monomial(rng):
-    """2-4 letters of degree 3-6 each; pairs are drawn in either order, so a
-    reversed pair brings its sign into the monomial's coeff."""
-    letters = "abcd"[: rng.randint(2, 4)]
-    degrees = {u: rng.randint(3, 6) for u in letters}
-    free = dict(degrees)
-    edges: dict[tuple[str, str], int] = {}
+    """2-5 letters of degree 3-6 each; pairs are drawn in either order, so a
+    reversed pair brings its sign into the monomial's coeff.  A five-letter
+    draw whose expansion has over 5000 terms is drawn again, which keeps the
+    per-term oracle to a fraction of a second."""
     while True:
-        open_letters = [u for u in letters if free[u]]
-        if len(open_letters) < 2 or rng.random() < 0.1:
-            break
-        u, v = rng.sample(open_letters, 2)
-        edges[(u, v)] = edges.get((u, v), 0) + 1
-        free[u] -= 1
-        free[v] -= 1
-    return BracketMonomial(letters, degrees, edges, free)
+        letters = "abcde"[: rng.randint(2, 5)]
+        degrees = {u: rng.randint(3, 6) for u in letters}
+        free = dict(degrees)
+        edges: dict[tuple[str, str], int] = {}
+        while True:
+            open_letters = [u for u in letters if free[u]]
+            if len(open_letters) < 2 or rng.random() < 0.1:
+                break
+            u, v = rng.sample(open_letters, 2)
+            edges[(u, v)] = edges.get((u, v), 0) + 1
+            free[u] -= 1
+            free[v] -= 1
+        terms = math.prod(e + 1 for e in edges.values()) * math.prod(w + 1 for w in free.values())
+        if len(letters) < 5 or terms <= 5000:
+            return BracketMonomial(letters, degrees, edges, free)
 
 
 def _symbolic_form(d, rng):
@@ -279,15 +286,16 @@ def _assert_same_as_per_term(mono, assignment):
 
 def test_collected_weights_equal_per_term_expansion():
     rng = random.Random(11)
-    mixed = signed = zeros = False
+    mixed = signed = zeros = five = False
     for _ in range(30):
         mono = _random_monomial(rng)
         assignment = _random_assignment(mono, rng)
         mixed |= {f.is_numeric() for f in assignment.values()} == {True, False}
         signed |= mono.coeff == -1
         zeros |= any(not all(f.coeffs) for f in assignment.values())
+        five |= len(mono.letters) == 5
         _assert_same_as_per_term(mono, assignment)
-    assert mixed and signed and zeros  # the seeded draw covers each feature
+    assert mixed and signed and zeros and five  # the seeded draw covers each feature
 
 
 def test_collected_weights_on_reversed_odd_pair():
@@ -337,6 +345,43 @@ def test_numeric_contraction_equals_the_symbolic_one_at_the_point():
         assert [c.evaluate(point) for c in general.coeffs] == list(got.coeffs)
         nonzero += not got.is_zero()
     assert nonzero >= 5
+
+
+def test_closing_order_does_not_change_the_value():
+    # a permutation of the letters changes the closing order and the edge
+    # orientation; the rebuilt monomial renormalizes each reversed pair's
+    # sign, so it is the same covariant as the original
+    rng = random.Random(15)
+    sizes = set()
+    for _ in range(6):
+        mono = _random_monomial(rng)
+        while len(mono.letters) < 4:
+            mono = _random_monomial(rng)
+        sizes.add(len(mono.letters))
+        for assignment in (
+            {u: random_form(mono.degrees[u], rng, bound=3) for u in mono.letters},
+            {u: _symbolic_form(mono.degrees[u], rng) for u in mono.letters},
+        ):
+            want = _umbral_eval_per_term(mono, assignment)
+            for letters in itertools.permutations(mono.letters):
+                moved = BracketMonomial(letters, mono.degrees, mono.edges, mono.x_powers, mono.coeff)
+                assert umbral_eval(moved, assignment) == want, letters
+    assert sizes == {4, 5}
+
+
+def test_letters_close_around_a_cycle_in_any_text_order():
+    mono = parse_bracket("(a c)^6 (b d)^6 (c e)^6 (d f)^6 (e g)^6 (g b)^6 (f a)^6 ; deg=12")
+    assert mono.letters == ("a", "c", "b", "d", "e", "f", "g")
+    # from a along the cycle both ways, never more than two letters open
+    assert _closing_order(mono) == ["a", "c", "e", "f", "d", "b", "g"]
+    assert _closing_order(cyclic_bracket(6, 7)) == [f"a{t}" for t in range(1, 8)]
+
+
+def test_wide_index_fields_do_not_carry():
+    # a letter's u2 exponent reaches 302, so each key field is 9 bits wide
+    rng = random.Random(16)
+    mono = parse_bracket("(a b)^300 a_x^2 b_x^2 ; deg=302")
+    _assert_same_as_per_term(mono, {"a": random_form(302, rng), "b": random_form(302, rng)})
 
 
 def test_contraction_rejects_mixed_variable_lists():
