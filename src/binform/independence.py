@@ -19,12 +19,12 @@ as a table (``_weights``).  The products of the running power are
 ``polyring._times``, the package's one integer matrix product, on sparse
 rows (column -> nonzero int), and the form is cleared to F / D_f as a
 one-row matrix (``RingMatrix._integral``), the package's one clearing
-rule.  The rank route runs the loop mod a prime (see ``jacobian_rank``):
-there A is packed once (``polyring._right_factor``), and a dense row of
-a product is one big-int multiply-add per nonzero entry.  Should that
-rank fall short, the route eliminates the integer rows N_r themselves;
-only the public oracle ``jacobian_matrix`` builds Fractions, one per
-entry.
+rule.  The rank route runs the loop mod a 26-bit prime (see
+``jacobian_rank``): there A is packed once into 64-bit slots
+(``polyring._right_factor``), and a dense row of a product is one big-int
+multiply-add per nonzero entry.  Should that rank fall short, the route
+eliminates the integer rows N_r themselves; only the public oracle
+``jacobian_matrix`` builds Fractions, one per entry.
 
 Specializing at the nullcone form x1^(k-1) x2^(k+1) collapses each row
 to a single entry with an explicit closed form in N(k, r); the k x k minor
@@ -47,11 +47,12 @@ from .forms import BinaryForm, random_form, unstable_form
 from .invariants import _check_fk
 from .polyring import RingMatrix, _bareiss, _right_factor, _times
 
-# The prime of the modular rank proof: the largest below 2^30, so that a
-# residue fits one 30-bit digit of a Python int and products stay small.
-# Any prime gives a proof; a large one makes a rank that falls short mod p,
-# and so the exact fallback, rare.
-RANK_PRIME = 2**30 - 35
+# The prime of the modular rank proof: the largest below 2^26, so that
+# n(p-1)^2 < 2^64 for every n <= 4096, and a packed product row of the
+# running power (``polyring._right_factor``) holds each entry in one
+# 64-bit slot up to k = 4095.  Any prime gives a proof; a large one makes
+# a rank that falls short mod p, and so the exact fallback, rare.
+RANK_PRIME = 2**26 - 5
 
 
 def _weights(k: int) -> tuple[list[int], list[int], int]:
@@ -103,7 +104,7 @@ def _gradient_rows(form: BinaryForm, modulus: int | None = None):
         a = [{j: v for j, x in row.items() if (v := x % modulus)} for row in a]
         combs = [c % modulus for c in combs]
         quotients = [x % modulus for x in quotients]
-    right = _right_factor(a, n, modulus)
+    right = None if modulus is None else _right_factor(a, n, modulus)
     power = a
     for r in range(2, k + 2):
         if r > 2:

@@ -94,19 +94,20 @@ def _apolar_trace_product(a: RingMatrix, b: RingMatrix):
     (For odd n the antidiagonal of every power is zero: there the relation
     reads M_(i, n-i) = -M_(i, n-i).)
 
-    Over Q the value is one integer pairing of a's rows (``_integral``)
-    with b's columns, restricted to j <= n - i in row i; over Q[f] it is
-    one fused sum above the antidiagonal, and one more that adds twice
-    that sum to the products on the antidiagonal.  The value keeps the
-    ring, as ``trace_product`` does.
+    Over Q the value is one integer pairing of a's sparse rows
+    (``_integral``), restricted to j <= n - i in row i, with b_ji read from
+    b's sparse rows; over Q[f] it is one fused sum above the antidiagonal,
+    and one more that adds twice that sum to the products on the
+    antidiagonal.  The value keeps the ring, as ``trace_product`` does.
     """
     n = a.nrows - 1
     variables = a._ring(b)
     if variables is None:
-        (rows, d), (_, e) = a._integral(), b._integral()
+        (rows, d), (brows, e) = a._integral(), b._integral()
         total = 0
-        for i, (row, col) in enumerate(zip(rows, b._columns())):
-            total += 2 * sum(x * col[j] for j, x in row.items() if j < n - i) + row.get(n - i, 0) * col[n - i]
+        for i, row in enumerate(rows):
+            total += 2 * sum(x * brows[j].get(i, 0) for j, x in row.items() if j < n - i)
+            total += row.get(n - i, 0) * brows[n - i].get(i, 0)
         return Fraction(total, d * e)
     rows, cols = a.rows, list(zip(*b.rows))
     above = _dot(variables, [pair for i in range(n) for pair in zip(rows[i][:n - i], cols[i][:n - i])])

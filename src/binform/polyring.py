@@ -48,20 +48,22 @@ a running power is a chain of integer products over D, D^2, ..., and a
 trace of a product is one integer pairing and one Fraction.  Fraction
 entries are built only when ``rows`` is read.  ``_times`` is the one
 integer matrix product of the package (the Jacobian's running power uses
-it too, mod a prime): a row with few nonzero entries combines the
-nonzero entries of the rows of the right operand it selects, a denser
-row takes dot products with the columns.  Mod p, a denser row is one
-big-int sum instead: each row of the right operand is packed once
-into one int of fixed-width slots (Kronecker substitution), so a product
-row is sum_j x_j * packed(B_j), one multiply-add per nonzero entry, read
-back slot by slot and reduced mod p.  ``_right_factor`` makes the dense
-form a product reads, once per right factor: a rational matrix keeps the
-dense integer columns of A once made, so a running power makes those of
-M once.  A polynomial product or pairing hands its entries to ``_dot`` as
-they are, rationals and zeros included.  The characteristic
-polynomial comes from the trace-power (Newton) recurrence, whose
-divisions are by integers, so one loop serves rational and MultiPoly
-entries alike; its traces pair M, ..., M^ceil(n/2).
+it too, mod a prime), with two routes.  The sparse route combines the
+nonzero entries of the rows of the right operand that a row's nonzero
+entries select; every exact product takes it.  Mod p, a row with at least
+half its entries nonzero is one big-int sum instead: each row of the
+right operand is packed once (``_right_factor``) into one int of 64-bit
+slots (Kronecker substitution), so a product row is
+sum_j x_j * packed(B_j), one multiply-add per nonzero entry, read back
+slot by slot and reduced mod p.  No slot carries while n(p-1)^2 < 2^64
+for the n rows of the right operand; past that bound nothing is packed,
+and every row takes the sparse route.  A trace of a product over Q reads
+B_ji from the sparse rows of B for each nonzero A_ij.  A polynomial
+product or pairing hands its entries to ``_dot`` as they are, rationals
+and zeros included.  The characteristic polynomial comes from the
+trace-power (Newton) recurrence, whose divisions are by integers, so one
+loop serves rational and MultiPoly entries alike; its traces pair M, ...,
+M^ceil(n/2).
 Determinant and rank share one fraction-free (Bareiss) elimination on
 the once-cleared A (``RingMatrix._integral``, the package's one clearing
 rule), so intermediate entries never grow fractions; the determinant is
@@ -75,7 +77,7 @@ import math
 from fractions import Fraction
 from itertools import repeat, starmap
 from operator import itemgetter, mul
-from struct import calcsize, unpack
+from struct import pack, unpack
 
 from .exactnum import alt_sign
 
@@ -369,7 +371,7 @@ class RingMatrix:
     of two is made in that form alone.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows", "_vars", "_ints", "_cols")
+    __slots__ = ("nrows", "ncols", "_rows", "_vars", "_ints")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -390,14 +392,13 @@ class RingMatrix:
                 elif not isinstance(c, (int, Fraction)):
                     raise TypeError(f"matrix entries must be rational or MultiPoly, got {c!r}")
         self._ints = None  # see _integral
-        self._cols = None  # see _columns
 
     @classmethod
     def _cleared(cls, ints: list[dict], den: int, ncols: int) -> "RingMatrix":
         """The rational matrix ints / den, from sparse integer rows."""
         out = object.__new__(cls)
         out.nrows, out.ncols = len(ints), ncols
-        out._rows = out._vars = out._cols = None
+        out._rows = out._vars = None
         out._ints = ints, den
         return out
 
@@ -439,14 +440,6 @@ class RingMatrix:
                           for row in self._rows], den
         return self._ints
 
-    def _columns(self):
-        """The dense integer columns of A (``_integral``) of this rational
-        matrix, made once: a running power multiplies by the same right
-        factor at every step."""
-        if self._cols is None:
-            self._cols = _right_factor(self._integral()[0], self.ncols)
-        return self._cols
-
     def _ring(self, other: "RingMatrix"):
         """The variable list of a product or pairing of self and other."""
         return self._vars if other._vars is None else other._vars
@@ -457,7 +450,7 @@ class RingMatrix:
         variables = self._ring(other)
         if variables is None:
             (a, d), (b, e) = self._integral(), other._integral()
-            return RingMatrix._cleared(_times(a, b, other._columns()), d * e, other.ncols)
+            return RingMatrix._cleared(_times(a, b, None), d * e, other.ncols)
         cols = list(zip(*other.rows))
         return RingMatrix([[_dot(variables, zip(row, col)) for col in cols] for row in self.rows])
 
@@ -485,19 +478,19 @@ class RingMatrix:
 def trace_product(a: RingMatrix, b: RingMatrix):
     """tr(a @ b) = sum_ij a_ij b_ji, without forming the product.
 
-    When every entry is rational, the value is one integer pairing of A's
-    rows with B's columns over the two denominators (a = A / D, b = B / E),
-    and one Fraction.  When either matrix is polynomial, every nonzero
-    product goes into one fused sum over its variable list, and the value
-    is a MultiPoly, zero included.
+    When every entry is rational, the value is one integer pairing
+    sum_ij A_ij B_ji over the nonzero entries of A's sparse rows, B_ji read
+    from B's, over the two denominators (a = A / D, b = B / E), and one
+    Fraction.  When either matrix is polynomial, every nonzero product goes
+    into one fused sum over its variable list, and the value is a
+    MultiPoly, zero included.
     """
     if a.ncols != b.nrows or a.nrows != b.ncols:
         raise ValueError("dimension mismatch in trace of a product")
     variables = a._ring(b)
     if variables is None:
-        (rows, d), (_, e) = a._integral(), b._integral()
-        return Fraction(sum(sum(map(mul, row.values(), map(col.__getitem__, row)))
-                            for row, col in zip(rows, b._columns())), d * e)
+        (rows, d), (brows, e) = a._integral(), b._integral()
+        return Fraction(sum(x * brows[j].get(i, 0) for i, row in enumerate(rows) for j, x in row.items()), d * e)
     return _dot(variables, [pair for row, col in zip(a.rows, zip(*b.rows)) for pair in zip(row, col)])
 
 
@@ -543,80 +536,61 @@ def _dense(row: dict, n: int) -> list[int]:
     return list(map(row.get, range(n), repeat(0)))
 
 
-def _slot(bits: int) -> str:
-    """The struct codes of a slot of at least ``bits`` bits, its fields
-    least significant first: one of B, H, I, Q, or Q and one of them."""
-    size = -(-bits // 8)
-    if size > 16:
-        raise ValueError(f"a packed slot of {bits} bits exceeds 128 bits")
-    high = size - 8 if size > 8 else size
-    code = next(c for c, width in (("B", 1), ("H", 2), ("I", 4), ("Q", 8)) if width >= high)
-    return "Q" + code if size > 8 else code
+def _right_factor(b: list[dict], ncols: int, modulus: int):
+    """The packed rows of the sparse residue rows b that the packed route
+    of ``_times`` reads, made once per right factor, since a running power
+    multiplies by the same one at every step; None when they would not fit.
 
-
-def _right_factor(b: list[dict], ncols: int, modulus: int | None = None):
-    """The dense form of the sparse integer rows b that ``_times`` reads,
-    made once per right factor, since a running power multiplies by the
-    same one at every step: b's dense columns for the exact product, and
-    mod ``modulus`` the triple (packed rows, slot, ncols) of the packed
-    route.
-
-    The slot is the narrowest struct layout (``_slot``), w bits, with
-    n*(modulus-1)^2 < 2^w, n = len(b).  Packed row j is
-    sum_t b[j][t] * 2^(w*t), one slot per entry, so b must hold residues,
-    ints in [0, modulus).  Each row is written as little-endian bytes,
-    slot by slot, and read back as one int, whatever the host's byte
-    order.
+    Packed row j is sum_t b[j][t] * 2^(64*t), one 64-bit slot per entry,
+    so b must hold residues, ints in [0, modulus).  A slot of a product row
+    sums at most n = len(b) products of two residues, so it fits when
+    n*(modulus-1)^2 < 2^64; otherwise this returns None, and ``_times``
+    takes the sparse route for every row.  Each row is written as
+    little-endian bytes, slot by slot, and read back as one int, whatever
+    the host's byte order.
     """
-    if modulus is None:
-        return list(zip(*[_dense(row, ncols) for row in b]))
-    slot = _slot((len(b) * (modulus - 1) ** 2).bit_length())
-    size = calcsize("<" + slot)
-    return [int.from_bytes(b"".join(x.to_bytes(size, "little") for x in _dense(row, ncols)), "little")
-            for row in b], slot, ncols
+    if len(b) * (modulus - 1) ** 2 >> 64:
+        return None
+    fmt = f"<{ncols}Q"
+    return [int.from_bytes(pack(fmt, *_dense(row, ncols)), "little") for row in b], ncols
 
 
 def _times(a: list[dict], b: list[dict], right, modulus: int | None = None) -> list[dict]:
     """The integer product a @ b of sparse rows (dicts from column to
-    nonzero int), given b's dense form ``right`` from ``_right_factor``
-    too, and reduced mod ``modulus`` if one is given.  Entries that vanish
-    are dropped.
+    nonzero int), reduced mod ``modulus`` if one is given.  Entries that
+    vanish are dropped.
 
-    A row of a with fewer nonzero entries than half its length (the
-    Jacobian witness's powers have at most one) combines the nonzero
-    entries of the rows of b it selects.  A denser row, exactly, takes
-    dot products with b's columns; mod ``modulus``, where a and b hold
-    residues, it is the one big-int sum S = sum_j x_j * packed(b_j) over
-    its nonzero entries x_j.  No slot of S carries into the next: slot t
-    of S is sum_j x_j b_jt, at most n terms each at most (modulus-1)^2,
-    so it is at most n*(modulus-1)^2 < 2^w (``_right_factor``), and S is
-    the integer whose w-bit digits are the exact entries of the product
-    row.  S is written as little-endian bytes and read back by an
-    explicitly little-endian struct format ("<"), so unpacking does not
-    depend on the host byte order; a slot of two fields is its high field
-    shifted over its low 64 bits.  Each entry is then reduced mod
-    ``modulus``.
+    Two routes.  The sparse route combines, for each nonzero entry x_j of
+    a row of a, x_j times the nonzero entries of row j of b; every row
+    takes it when ``right`` is None, as in every exact product.  Mod
+    ``modulus``, where a and b hold residues and ``right`` is b's packed
+    rows from ``_right_factor``, a row with at least half its entries
+    nonzero takes the packed route instead (the Jacobian witness's powers
+    have at most one, and keep the sparse route): the one big-int sum
+    S = sum_j x_j * packed(b_j) over its nonzero entries.  No slot of S
+    carries into the next: slot t of S is sum_j x_j b_jt, at most n terms
+    each at most (modulus-1)^2, so it is at most n*(modulus-1)^2 < 2^64
+    (``_right_factor``), and S is the integer whose 64-bit digits are the
+    exact entries of the product row.  S is written as little-endian
+    bytes and read back by an explicitly little-endian struct format
+    ("<"), so unpacking does not depend on the host byte order.  Each
+    entry is then reduced mod ``modulus``.
     """
     n = len(b)
-    if modulus is not None:
-        packed, slot, m = right
-        fmt = "<" + slot * m
-        nbytes = calcsize(fmt)
+    if right is not None:
+        packed, m = right
+        fmt = f"<{m}Q"
     out = []
     for row in a:
-        if 2 * len(row) < n:
+        if right is None or 2 * len(row) < n:
             acc = {}
             get = acc.get
             for j, x in row.items():
                 for t, y in b[j].items():
                     acc[t] = get(t, 0) + x * y
             sums = acc.items()
-        elif modulus is None:
-            row = _dense(row, n)
-            sums = enumerate([sum(map(mul, row, col)) for col in right])
         else:
-            words = unpack(fmt, sum(map(mul, row.values(), map(packed.__getitem__, row))).to_bytes(nbytes, "little"))
-            sums = enumerate(words if len(slot) == 1 else [hi << 64 | lo for lo, hi in zip(words[::2], words[1::2])])
+            sums = enumerate(unpack(fmt, sum(map(mul, row.values(), map(packed.__getitem__, row))).to_bytes(8 * m, "little")))
         out.append({t: r for t, v in sums if (r := v % modulus)} if modulus else dict(filter(itemgetter(1), sums)))
     return out
 

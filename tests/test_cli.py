@@ -232,6 +232,10 @@ def test_symbolic_report_bytes_are_pinned(capsys, argv, sha256):
 CERTIFICATE_REPORTS = [
     (("independence", "--k", "10", "--random-point", "--seed", "0", "--jobs", "1"),
      "50040d395b1877c072a193ddc95d87db1e0c433e57d655ad742a75681f1ace06"),
+    # n = 17 rows: packed in one 64-bit slot per entry mod RANK_PRIME,
+    # though 17 (p - 1)^2 >= 2^64 for any prime p above 2^30
+    (("independence", "--k", "16", "--random-point", "--seed", "3", "--jobs", "1"),
+     "9208f3917e65eba35a154ba60aa3d175cb34ebe9bb10e9768c2ec45c5aa152c7"),
     (("invariant", "H", "--d", "8", "--n", "8", "--random", "--seed", "0", "--jobs", "1"),
      "c4e714f9ce75ff62093327c3321803f33f9d16539754f62bd630f2deffd5daa0"),
     (("invariant", "P", "--d", "12", "--n", "12", "--p", "12", "--random", "--seed", "5",
@@ -241,7 +245,7 @@ CERTIFICATE_REPORTS = [
 
 
 @pytest.mark.parametrize(
-    "argv,sha256", CERTIFICATE_REPORTS, ids=("independence", "invariant-H", "invariant-P")
+    "argv,sha256", CERTIFICATE_REPORTS, ids=("independence", "independence-k16", "invariant-H", "invariant-P")
 )
 def test_certificate_report_bytes_are_pinned(capsys, argv, sha256):
     code, out, err = run(capsys, *argv)

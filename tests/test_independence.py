@@ -194,6 +194,25 @@ def test_rank_falls_back_to_bareiss_when_short_mod_p(monkeypatch):
             assert len(exact_calls) == before + 1
 
 
+def test_rank_prime_needs_no_exact_fallback_on_real_inputs(monkeypatch):
+    # the witness for every even k <= 60 and the certificate workload's
+    # random points: every rank is proved mod RANK_PRIME, none by Bareiss
+    exact_calls = []
+    bareiss = independence._bareiss
+
+    def counted(rows):
+        exact_calls.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(independence, "_bareiss", counted)
+    for k in range(2, 61, 2):
+        assert jacobian_rank(unstable_form(k)) == k
+    for k in range(8, 17, 2):
+        for s in range(8):
+            assert jacobian_rank(random_form(2 * k, random.Random(s))) == k
+    assert exact_calls == []
+
+
 def test_rank_at_random_octavic():
     rng = random.Random(5)
     jac = jacobian_matrix(random_form(8, rng))
@@ -259,14 +278,13 @@ def test_sparse_gradient_rows_against_dense_loop(monkeypatch):
     # the sparse running power, mod p and exact, against the dense loop:
     # the witness for every even k <= 30, seeded random forms for k <= 16,
     # and forms with 1-3 nonzero coefficients, whose power rows fall on
-    # both sides of the density choice in polyring._times: the sparse
-    # route, and the packed route mod p or the column route exactly
+    # both sides of the density choice in polyring._times mod p: the
+    # sparse route and the packed route; every exact product is sparse
     routes = set()
     times = independence._times
 
     def spy(a, b, right, modulus=None):
-        dense = "dense" if modulus is None else "packed"
-        routes.update("sparse" if 2 * len(row) < len(b) else dense for row in a)
+        routes.update("sparse" if right is None or 2 * len(row) < len(b) else "packed" for row in a)
         return times(a, b, right, modulus)
 
     monkeypatch.setattr(independence, "_times", spy)
@@ -286,7 +304,7 @@ def test_sparse_gradient_rows_against_dense_loop(monkeypatch):
     routes.clear()
     for f in sparse:
         list(independence._gradient_rows(f))
-    assert routes == {"sparse", "dense"}
+    assert routes == {"sparse"}
 
 
 def test_certificate_closed_form_against_nkr_and_minor():

@@ -1,6 +1,5 @@
 import math
 import random
-import struct
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ from binform.polyring import (
     RingMatrix,
     _dot,
     _right_factor,
-    _slot,
     _times,
     charpoly,
     det_exact,
@@ -504,14 +502,12 @@ def test_running_power_prepares_its_factor_once(monkeypatch):
     # M is cleared to A / D once; every power stays integer rows over D^e
     assert len(cleared) == 1 and cleared[0] is m
     assert [power._integral()[1] for power in powers] == [m._integral()[1] ** e for e in range(1, 7)]
-    assert m._columns() is m._columns()
     assert [list(r) for r in powers[-1].rows] == _fraction_product(powers[-2], m)
 
 
-def _times_mod_oracle(a, b, ncols, p):
-    """a @ b mod p by the exact column route of ``_times``, reduced after."""
-    exact = _times(a, b, _right_factor(b, ncols))
-    return [{t: r for t, v in row.items() if (r := v % p)} for row in exact]
+def _times_mod_oracle(a, b, p):
+    """a @ b mod p by the sparse route of ``_times``, reduced after."""
+    return [{t: r for t, v in row.items() if (r := v % p)} for row in _times(a, b, None)]
 
 
 def _residue_rows(rng, nrows, ncols, p, density):
@@ -520,42 +516,40 @@ def _residue_rows(rng, nrows, ncols, p, density):
             for _ in range(nrows)]
 
 
-@pytest.mark.parametrize("p", [RANK_PRIME, 2, 7])
-@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 61])
+@pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3, 16, 17, 61) for p in (RANK_PRIME, 2**30 - 35, 2, 7)]
+                         + [(4, 2**31 - 1), (5, 2**31 - 1)])
 def test_packed_product_against_exact_route(p, n):
     # dense, sparse and mixed left rows, all-zero rows on either side, and
-    # square and rectangular right factors; n = 16 and 17 straddle the
-    # one-field and two-field slots at RANK_PRIME
+    # square and rectangular right factors; the 64-bit slots of n rows fit
+    # up to n = 16 at p = 2^30 - 35 and up to n = 4 at p = 2^31 - 1, and
+    # past that nothing packs
     rng = random.Random(1000 * n + p % 1000)
+    packs = n * (p - 1) ** 2 < 2**64
     packed_rows = 0
     for ncols in (n, n + 5, max(1, n // 2)):
         for density in (0.0, 0.2, 0.6, 1.0):
             a = _residue_rows(rng, n + 3, n, p, density) + [{}]
             b = _residue_rows(rng, n, ncols, p, 1.0 - density / 2)
             b[rng.randrange(n)] = {}
+            right = _right_factor(b, ncols, p)
+            assert (right is not None) == packs
             packed_rows += sum(2 * len(row) >= n for row in a)
-            assert _times(a, b, _right_factor(b, ncols, p), p) == _times_mod_oracle(a, b, ncols, p)
+            assert _times(a, b, right, p) == _times_mod_oracle(a, b, p)
     assert packed_rows > 0
 
 
 def test_packed_slots_do_not_carry_at_the_bound():
-    # every entry p - 1: each slot sum is n (p - 1)^2, the largest the
-    # slot width is chosen for
-    for p, n, ncols in ((RANK_PRIME, 61, 61), (RANK_PRIME, 16, 9), (RANK_PRIME, 61, 7), (2, 61, 61), (257, 61, 30)):
+    # every entry p - 1: each slot sum is n (p - 1)^2, the largest a
+    # 64-bit slot is allowed to hold; RANK_PRIME packs up to n = 4096
+    for p, n, ncols in ((RANK_PRIME, 4096, 3), (RANK_PRIME, 61, 61), (RANK_PRIME, 61, 7),
+                        (2**31 - 1, 4, 5), (2, 61, 61), (257, 61, 30)):
         a = [dict.fromkeys(range(n), p - 1) for _ in range(3)]
         b = [dict.fromkeys(range(ncols), p - 1) for _ in range(n)]
         right = _right_factor(b, ncols, p)
-        assert (n * (p - 1) ** 2).bit_length() <= 8 * struct.calcsize("<" + right[1])
-        assert _times(a, b, right, p) == _times_mod_oracle(a, b, ncols, p)
+        assert right is not None
+        assert _times(a, b, right, p) == _times_mod_oracle(a, b, p)
         assert _times(a, b, right, p)[0] == dict.fromkeys(range(ncols), n * (p - 1) ** 2 % p)
-
-
-def test_slot_layout():
-    assert [_slot(bits) for bits in (1, 8, 9, 16, 17, 32, 33, 64)] == ["B", "B", "H", "H", "I", "I", "Q", "Q"]
-    assert [_slot(bits) for bits in (65, 72, 73, 80, 81, 96, 97, 128)] == ["QB", "QB", "QH", "QH", "QI", "QI", "QQ", "QQ"]
-    assert (16 * (RANK_PRIME - 1) ** 2).bit_length() == 64 < (17 * (RANK_PRIME - 1) ** 2).bit_length()
-    with pytest.raises(ValueError, match="exceeds 128 bits"):
-        _slot(129)
+    assert _right_factor([{0: 1}] * 4097, 1, RANK_PRIME) is None
 
 
 def _power(m, p):
