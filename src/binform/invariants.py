@@ -16,7 +16,16 @@ M is self-adjoint for the apolar form Omega[i][j] = delta_{i+j,n}
 ``_apolar_trace_product``), and so is every power of M.  A trace
 tr(M^a M^b) therefore reads only the entries on and above the
 antidiagonal of the two powers: about half the products of the plain
-pairing sum_ij (M^a)_ij (M^b)_ji.
+pairing sum_ij (M^a)_ij (M^b)_ji.  The term P_ji of that pairing follows
+from P_ij when a = b (it is equal) and at the generic form, whose
+reflection x1 <-> x2 is the variable reversal sigma: f_s -> f_(d-s)
+(P_ji = sigma(P_ij)).  There the pairing reads only the pairs with
+i <= j as well, about a quarter of the plain one, and applies sigma once
+to the packed keys of its sum.  A symbolic running power is made in the
+balanced basis S M S^-1 (``_balance``), where the apolar relation says
+that an entry below the antidiagonal is its mirror above it or that
+mirror's negation, so each product computes only the entries on and
+above the antidiagonal (``_half_powers``).
 """
 
 from __future__ import annotations
@@ -24,10 +33,11 @@ from __future__ import annotations
 import hashlib
 import math
 from fractions import Fraction
+from functools import partial
 
 from .exactnum import alt_sign, fact_product
 from .forms import BinaryForm, generic_form
-from .polyring import MultiPoly, RingMatrix, _dot, charpoly
+from .polyring import MultiPoly, RingMatrix, _dot, _fused, _poly, _reflected, charpoly
 from .sixj import sixj_sum
 from .transvect import t_coeff, transvectant
 from .umbral import octavic_a_bracket, octavic_b_bracket, umbral_eval
@@ -49,69 +59,204 @@ def transvection_matrix(form: BinaryForm, n: int) -> RingMatrix:
     """Matrix of G |-> (F, G)_k on the order-n space, in the monomial basis.
 
     Entry (i, j) multiplies basis element i in the image of basis element j.
-    An entry that vanishes is the zero of the form's ring: Fraction(0) for
-    a numeric form, the zero MultiPoly for a symbolic one.
+    Every entry is in the form's ring, zero included: a Fraction for a
+    numeric form, a MultiPoly for a symbolic one.
     """
+    return _matrix(form, n, None)
+
+
+def _matrix(form: BinaryForm, n: int, scale) -> RingMatrix:
+    """The transvection matrix M, or T^-1 M T for the diagonal of ints T =
+    ``scale`` (None for M): entry (i, j) is f_s * t_coeff(s, j, 2k, n, k)
+    * T_j / T_i, s = i - j + k, with one rational factor per entry either
+    way.  A symbolic form's rational coefficients are lifted to constants
+    of its ring first, so every entry is a MultiPoly."""
     k = _check_fk(form, n)
     d = form.degree
-    zero = next((MultiPoly.zero(c.vars) for c in form.coeffs if isinstance(c, MultiPoly)), Fraction(0))
+    coeffs = form.coeffs
+    ring = next((c.vars for c in coeffs if isinstance(c, MultiPoly)), None)
+    if ring is not None:  # every entry of a symbolic matrix is a MultiPoly
+        coeffs = [c if isinstance(c, MultiPoly) else MultiPoly.const(ring, c) for c in coeffs]
+    zero = Fraction(0) if ring is None else MultiPoly.zero(ring)
     rows = []
     for i in range(n + 1):
         row = []
         for j in range(n + 1):
             s = i - j + k
-            if 0 <= s <= d and form.coeffs[s]:
-                row.append(form.coeffs[s] * t_coeff(s, j, d, n, k))
+            if 0 <= s <= d and coeffs[s]:
+                t = t_coeff(s, j, d, n, k)
+                if scale and scale[i] != scale[j]:
+                    t = Fraction(t.numerator * scale[j], t.denominator * scale[i])
+                row.append(coeffs[s] * t)
             else:
                 row.append(zero)
         rows.append(row)
     return RingMatrix(rows)
 
 
-def _apolar_trace_product(a: RingMatrix, b: RingMatrix):
-    """tr(a @ b) for two powers a, b of one transvection matrix M, from the
-    entries on and above the antidiagonal alone:
+def _balance(n: int) -> list[int]:
+    """The diagonal T of the balanced basis N = T^-1 M T: T_i = lam for
+    i <= n/2 and T_i = C(n, i) above, lam = C(n, n/2) for even n and 1 for
+    odd n.  So S = lam T^-1 has S_i = 1 for i <= n/2 and S_i = lam / C(n, i)
+    above, and S_i S_(n-i) C(n, i) = lam for every i.
 
-        tr(ab) = 2 * sum_{i+j<n} a_ij b_ji + sum_{i+j=n} a_ij b_ji.
+    In this basis N = S M S^-1 the apolar relation (``_apolar_trace_product``)
+    loses its scalars: N_(n-j, n-i) = S_(n-j) / S_(n-i) * M_(n-j, n-i)
+    = (-1)^(i+j) S_i C(n, i) / (S_j C(n, j)) * C(n, j) / C(n, i) * M_ij
+    = (-1)^(i+j) N_ij, and the same holds for every power of N.
+    """
+    lam = math.comb(n, n // 2) if n % 2 == 0 else 1
+    return [lam if 2 * i <= n else math.comb(n, i) for i in range(n + 1)]
 
-    Proof.  The apolar form <G, H> = (G, H)_n on the order-n space has the
-    matrix Omega[i][j] = t_coeff(i, j, n, n, n) = delta_{i+j,n} (-1)^i / C(n, i)
-    in the monomial basis (only l = i survives in its sum).  Take F, G, H
-    powers of linear forms a_x^(2k), b_x^n, c_x^n.  In this normalization
-    (F, G)_k = (ab)^k a_x^k b_x^(n-k), and (X, c_x^n)_n = X(c2, -c1) for
-    any X of order n, so <(F, G)_k, H> = (ab)^k (ac)^k (bc)^(n-k); in the
-    same way <G, (F, H)_k> = (-1)^k (ab)^k (ac)^k (bc)^(n-k), and k is
-    even.  Powers of linear forms span each space, so <MG, H> = <G, MH>
-    for all G, H by trilinearity: M^T Omega = Omega M.  Entrywise,
+
+def _half_powers(m: RingMatrix, p: int):
+    """Yield N, N^2, ..., N^p for a balanced polynomial transvection matrix
+    N (``_balance``): each product computes only the entries on and above
+    the antidiagonal, i + j <= n, and takes every other entry from its
+    mirror, N_ij = (-1)^(i+j) N_(n-j, n-i): the same MultiPoly or its
+    negation.  That is (n + 1)(n + 2) / 2 sums of products per power
+    instead of (n + 1)^2."""
+    n = m.nrows - 1
+    variables = m._vars
+    cols = list(zip(*m.rows))
+    power = m
+    for e in range(p):
+        if e:
+            rows = power.rows
+            top = [[_dot(variables, zip(rows[i], cols[j])) for j in range(n + 1 - i)] for i in range(n + 1)]
+            power = RingMatrix([top[i] + [-top[n - j][n - i] if (i + j) % 2 else top[n - j][n - i]
+                                          for j in range(n + 1 - i, n + 1)] for i in range(n + 1)])
+        yield power
+
+
+def _operator(form: BinaryForm, n: int, p: int):
+    """The transvection operator of a form and the chain of its powers up
+    to the p-th.
+
+    A symbolic form whose chain makes a product (p >= 2) gets the balanced
+    matrix and ``_half_powers``.  Otherwise it is M itself and
+    ``RingMatrix.powers``: a chain of no product gains nothing from the
+    balanced basis, and a numeric form's products are integer products
+    over D, D^2, ... in the monomial basis, where the entries stay small.
+    Both give the same traces."""
+    if p >= 2 and any(isinstance(c, MultiPoly) for c in form.coeffs):
+        return _matrix(form, n, _balance(n)), _half_powers
+    return transvection_matrix(form, n), RingMatrix.powers
+
+
+def _reflects(form: BinaryForm) -> bool:
+    """Whether sigma(f_s) = f_(d-s) for every coefficient, sigma the
+    variable reversal of the ring (``MultiPoly.reflect``; the identity on
+    Q): true at the generic form, whose f_s is the s-th variable of
+    f0..fd, and false once one coefficient is changed alone, f1 doubled
+    say.  Then sigma(F) = F(x2, x1), which the quarter route of
+    ``_apolar_trace_product`` needs."""
+    c = form.coeffs
+    return all((c[s].reflect() if isinstance(c[s], MultiPoly) else c[s]) == c[-1 - s] for s in range(len(c) // 2 + 1))
+
+
+def _apolar_trace_product(a: RingMatrix, b: RingMatrix, reflect: bool = False):
+    """tr(a @ b) = sum_ij P_ij, P_ij = a_ij b_ji, for two powers a, b of one
+    transvection matrix M (or of one balanced matrix S M S^-1), from the
+    entries on and above the antidiagonal alone, and from only those with
+    i <= j when P_ji follows from P_ij: always when a is b, where
+    P_ji = P_ij, and when ``reflect`` says the form is fixed by the
+    reflection (``_reflects``), where P_ji = sigma(P_ij).
+
+    Half of the index pairs.  The apolar form <G, H> = (G, H)_n on the
+    order-n space has the matrix Omega[i][j] = t_coeff(i, j, n, n, n)
+    = delta_{i+j,n} (-1)^i / C(n, i) in the monomial basis (only l = i
+    survives in its sum).  Take F, G, H powers of linear forms a_x^(2k),
+    b_x^n, c_x^n.  In this normalization (F, G)_k = (ab)^k a_x^k b_x^(n-k),
+    and (X, c_x^n)_n = X(c2, -c1) for any X of order n, so
+    <(F, G)_k, H> = (ab)^k (ac)^k (bc)^(n-k); in the same way
+    <G, (F, H)_k> = (-1)^k (ab)^k (ac)^k (bc)^(n-k), and k is even.
+    Powers of linear forms span each space, so <MG, H> = <G, MH> for all
+    G, H by trilinearity: M^T Omega = Omega M.  Entrywise,
 
         M_(n-j, n-i) = (-1)^(i+j) C(n, j) / C(n, i) * M_ij,
 
     and the relation passes to every power, (M^p)^T Omega = Omega M^p.
     The involution (i, j) -> (n-j, n-i) fixes the antidiagonal and swaps
-    i + j < n with i + j > n, and it leaves a_ij b_ji unchanged: the two
+    i + j < n with i + j > n, and it leaves P_ij unchanged: the two
     scale factors, C(n, j)/C(n, i) for a_ij and C(n, i)/C(n, j) for b_ji,
-    cancel.  So the terms below the antidiagonal repeat those above it.
+    cancel.  So the terms below the antidiagonal repeat those above it:
+
+        tr(ab) = 2 * sum_{i+j<n} P_ij + sum_{i+j=n} P_ij.
+
     (For odd n the antidiagonal of every power is zero: there the relation
-    reads M_(i, n-i) = -M_(i, n-i).)
+    reads M_(i, n-i) = -M_(i, n-i).)  A diagonal change of basis
+    a -> S a S^-1, b -> S b S^-1 leaves every P_ij as it is.
+
+    A quarter of the index pairs.  Let R swap x1 and x2.  Then
+    (RF, RG)_k = (-1)^k R(F, G)_k, and k is even, so M(RF) = Pi M(F) Pi
+    for the basis reversal Pi: i -> n - i.  At a form with
+    sigma(f_s) = f_(d-s), sigma(F) = RF, and sigma, a ring automorphism,
+    passes through the products of a power: sigma(M^e_ij) = M^e_(n-i, n-j).
+    With the apolar relation, sigma(P_ij) = a_(n-i, n-j) b_(n-j, n-i)
+    = [(-1)^(i+j) C(n, i)/C(n, j) a_ji] [(-1)^(i+j) C(n, j)/C(n, i) b_ij]
+    = P_ji.  So the group of the two involutions acts on the index pairs,
+    and each orbit meets the domain i <= j, i + j <= n once:
+
+        U   = sum over i < j, i + j < n    (orbit of 4: 2 P + 2 sigma(P))
+        Dg  = sum over i = j, 2i < n       (orbit of 2: P + sigma(P))
+        V   = sum over i + j = n, i < j    (orbit of 2: P + sigma(P))
+        Mid = P at i = j = n/2, n even     (fixed: sigma(P) = P)
+
+    so with W = 2U + Dg + V + Mid/2, tr(ab) = W + sigma(W); and when a is b,
+    sigma can be taken as the identity, so tr(ab) = 2W for every form.
+    The sum computes 2W and applies sigma once to its packed keys.
 
     Over Q the value is one integer pairing of a's sparse rows
-    (``_integral``), restricted to j <= n - i in row i, with b_ji read from
-    b's sparse rows; over Q[f] it is one fused sum above the antidiagonal,
-    and one more that adds twice that sum to the products on the
-    antidiagonal.  The value keeps the ring, as ``trace_product`` does.
+    (``_integral``) over the same domains, with b_ji read from b's sparse
+    rows.  Over Q[f] the half route is one fused sum above the
+    antidiagonal and one more that adds twice it to the antidiagonal; the
+    quarter route is one fused sum (``_fused``) that weights each product
+    by its orbit, and, when a is not b, one merge of 2W with its image
+    under sigma (``_reflected``) over twice its denominator.  Every entry
+    of a symbolic power is a MultiPoly (``_matrix`` lifts rational
+    coefficients).  The value keeps the ring, as ``trace_product`` does.
     """
     n = a.nrows - 1
     variables = a._ring(b)
-    if variables is None:
+    quarter = a is b or reflect
+    if variables is None:  # sigma is the identity on Q, so tr = 2W
         (rows, d), (brows, e) = a._integral(), b._integral()
         total = 0
+        if quarter:
+            total = sum(_orbit(i, j, n) * x * brows[j].get(i, 0)
+                        for i in range(n // 2 + 1) for j, x in rows[i].items() if i <= j <= n - i)
+            return Fraction(total, d * e)
         for i, row in enumerate(rows):
             total += 2 * sum(x * brows[j].get(i, 0) for j, x in row.items() if j < n - i)
             total += row.get(n - i, 0) * brows[n - i].get(i, 0)
         return Fraction(total, d * e)
     rows, cols = a.rows, list(zip(*b.rows))
-    above = _dot(variables, [pair for i in range(n) for pair in zip(rows[i][:n - i], cols[i][:n - i])])
-    return _dot(variables, [(above, 2)] + [(rows[i][n - i], cols[i][n - i]) for i in range(n + 1)])
+    if not quarter:
+        above = _dot(variables, [pair for i in range(n) for pair in zip(rows[i][:n - i], cols[i][:n - i])])
+        return _dot(variables, [(above, 2)] + [(rows[i][n - i], cols[i][n - i]) for i in range(n + 1)])
+    # 2W as one fused sum, each product weighted by its orbit
+    factors = []
+    for i in range(n // 2 + 1):
+        for j in range(i, n - i + 1):
+            x, y = rows[i][j], cols[i][j]
+            if x and y:
+                factors.append((x.nums, y.nums, _orbit(i, j, n), x.den * y.den))
+    total = _fused(variables, factors)
+    if a is b:
+        return total
+    # tr = (2W + sigma(2W)) / 2, merged key by key
+    nums = dict(total.nums)
+    get = nums.get
+    for key, v in _reflected(total.nums, len(variables)).items():
+        nums[key] = get(key, 0) + v
+    return _poly(variables, 2 * total.den, {key: v for key, v in nums.items() if v})
+
+
+def _orbit(i: int, j: int, n: int) -> int:
+    """The weight of P_ij, i <= j and i + j <= n, in 2W (``_apolar_trace_product``):
+    4 on U, 2 on Dg and V, 1 at the centre."""
+    return 1 if 2 * i == n else 2 if j == i or j == n - i else 4
 
 
 def trace_invariant(form: BinaryForm, n: int, p: int):
@@ -125,18 +270,24 @@ def trace_invariant(form: BinaryForm, n: int, p: int):
     matrix products and one pairing instead of the p - 1 products of M^p.
     Since M^T Omega = Omega M for the apolar form Omega, the pairing
     (``_apolar_trace_product``) reads only the entries on and above the
-    antidiagonal, which about halves its products.  The matrix and its
-    powers keep the form's ring, so the value is a Fraction for a numeric
-    form and a MultiPoly for a symbolic one, zero included.
+    antidiagonal, and only a quarter of the index pairs for even p or at
+    the generic form, where the reflection x1 <-> x2 relates (i, j) to
+    (j, i).  For a symbolic form the running power is made in the
+    balanced basis and computes only the entries on and above the
+    antidiagonal (``_half_powers``).  The matrix and its powers keep the
+    form's ring, so the value is a Fraction for a numeric form and a
+    MultiPoly for a symbolic one, zero included.
     """
     if p < 1:
         raise ValueError("power must be >= 1")
-    m = transvection_matrix(form, n)
     a, b = (p + 1) // 2, p // 2
-    for e, power in enumerate(m.powers(a), 1):
+    m, powers = _operator(form, n, a)
+    for e, power in enumerate(powers(m, a), 1):
         if e == b:
             half = power
-    return _apolar_trace_product(power, half) if b else power.trace()
+    if not b:
+        return power.trace()
+    return _apolar_trace_product(power, half, a != b and _reflects(form))
 
 
 def charpoly_invariants(form: BinaryForm, n: int) -> list:
@@ -148,9 +299,11 @@ def charpoly_invariants(form: BinaryForm, n: int) -> list:
     MultiPolys in f0..fd for a symbolic one, apart from the leading
     Fraction 1.  Every trace in the recurrence pairs two powers of the
     transvection matrix, so it takes the apolar pairing
-    (``_apolar_trace_product``), as ``trace_invariant`` does.
+    (``_apolar_trace_product``) and the power chain of ``_operator``, as
+    ``trace_invariant`` does.
     """
-    return charpoly(transvection_matrix(form, n), _apolar_trace_product)
+    m, powers = _operator(form, n, (n + 1) // 2)
+    return charpoly(m, partial(_apolar_trace_product, reflect=_reflects(form)), powers)
 
 
 def charpoly_invariant(form: BinaryForm, n: int, p: int):

@@ -33,7 +33,10 @@ sums (self, +-1), (other, +-1), a scalar operand adding a constant of
 the ring; a polynomial matrix product is one sum per entry, and so are a
 trace, the trace pairing ``trace_product``, a step of the characteristic
 recurrence and a transvectant coefficient.  Over Q ``_dot`` is the plain
-Fraction sum.
+Fraction sum.  Its accumulation, ``_fused``, takes ready numerator dicts
+with an int weight each, for a sum that counts some products more than
+once.  ``MultiPoly.reflect`` is the variable reversal x_i -> x_(n-1-i),
+a permutation of the exponent fields of every packed key.
 
 RingMatrix is a dense 2-D array whose entries are Fractions or
 MultiPolys over one shared variable list.  A matrix with a MultiPoly
@@ -157,9 +160,7 @@ def _dot(variables, pairs):
     either order; a pair of two scalars adds a constant of the ring.
     Every product is accumulated into one dict of int numerators over the
     lcm of the pairs' denominators, and the content is taken out once, at
-    the end.  No field can carry unnoticed: a product of total degree D
-    has a key whose top field is at least D, so the largest key bounds
-    every product's degree.
+    the end (``_fused``).
     """
     if variables is None:
         return sum(starmap(mul, pairs), Fraction(0))
@@ -179,6 +180,17 @@ def _dot(variables, pairs):
                 factors.append((a.nums, None, b.numerator, a.den * b.denominator))
         elif a and b:  # two scalars: the constant term a * b
             factors.append(({0: a.numerator}, None, b.numerator, a.denominator * b.denominator))
+    return _fused(variables, factors)
+
+
+def _fused(variables, factors) -> "MultiPoly":
+    """The sum of c * a * b / d over ``factors`` (a, b, c, d): numerator
+    dicts a and b (b None for 1), an int c and a positive int d.  The
+    products go into one dict over the lcm of the d, and the content is
+    taken out once, at the end.  No field can carry unnoticed: a product
+    of total degree D has a key whose top field is at least D, so the
+    largest key bounds every product's degree.
+    """
     den = math.lcm(*[f[3] for f in factors])
     acc: dict[int, int] = {}
     for a, b, c, d in factors:
@@ -186,6 +198,29 @@ def _dot(variables, pairs):
     if acc:
         _check_degree(max(acc) >> (FIELD_BITS * len(variables)))
     return _poly(variables, den, {k: v for k, v in acc.items() if v})
+
+
+def _reflected(nums: dict, n: int) -> dict:
+    """The numerator dict ``nums`` over n variables under the variable
+    reversal x_i -> x_(n-1-i): the exponent fields of every key in reverse
+    order, the degree field kept.
+
+    While the total degree is below 256, every exponent is, so each field
+    is one low byte and then zero bytes: the exponent fields are written
+    as little-endian bytes and read back reversed, the slice starting at
+    the low byte of the top field so that every field realigns, and or-ed
+    under the degree field.  Past that, field by field.
+    """
+    shift = FIELD_BITS * n
+    low = (1 << shift) - 1
+    if not nums or max(nums) >> shift < 256:
+        width = FIELD_BITS // 8
+        size = n * width
+        return {k >> shift << shift | int.from_bytes((k & low).to_bytes(size, "little")[-width::-1], "little"): v
+                for k, v in nums.items()}
+    fields = [(FIELD_BITS * i, FIELD_BITS * (n - 1 - i)) for i in range(n)]
+    return {k >> shift << shift | sum(((k >> a) & _FIELD_MASK) << b for a, b in fields): v
+            for k, v in nums.items()}
 
 
 class MultiPoly:
@@ -301,6 +336,11 @@ class MultiPoly:
         return NotImplemented
 
     __hash__ = None
+
+    def reflect(self) -> "MultiPoly":
+        """The image under the variable reversal x_i -> x_(n-1-i) of the n
+        variables (``_reflected``)."""
+        return _poly(self.vars, self.den, _reflected(self.nums, len(self.vars)))
 
     # -- calculus and evaluation ---------------------------------------
 
@@ -494,7 +534,7 @@ def trace_product(a: RingMatrix, b: RingMatrix):
     return _dot(variables, [pair for row, col in zip(a.rows, zip(*b.rows)) for pair in zip(row, col)])
 
 
-def charpoly(m: RingMatrix, pairing=trace_product) -> list:
+def charpoly(m: RingMatrix, pairing=trace_product, powers=RingMatrix.powers) -> list:
     """Coefficients of det(lambda*Id - M), listed from lambda^0 up, monic.
 
     Computed from the traces of matrix powers by the Newton recurrence
@@ -509,6 +549,8 @@ def charpoly(m: RingMatrix, pairing=trace_product) -> list:
     ... (``RingMatrix._integral``).  Another pairing is valid when it
     equals tr(a @ b) whenever both arguments are powers of M, as the
     apolar pairing of ``invariants`` does for a transvection matrix.
+    ``powers(m, p)`` yields M, ..., M^p; another chain than
+    ``RingMatrix.powers`` may make them, as ``invariants`` does.
     Each sum of the recurrence is one ``_dot`` over the matrix's ring.
     """
     if not m.is_square():
@@ -516,7 +558,7 @@ def charpoly(m: RingMatrix, pairing=trace_product) -> list:
     n = m.nrows
     traces = []
     prev = None
-    for a, power in enumerate(m.powers((n + 1) // 2), 1):
+    for a, power in enumerate(powers(m, (n + 1) // 2), 1):
         # tr(M^(2a-1)) pairs M^a with M^(a-1), tr(M^(2a)) pairs M^a with itself
         traces.append(m.trace() if prev is None else pairing(power, prev))
         if 2 * a <= n:

@@ -200,6 +200,14 @@ def test_exactly_one_form_source(tmp_path, monkeypatch, capsys, argv):
 SYMBOLIC_REPORTS = [
     (("invariant", "P", "--d", "8", "--n", "4", "--p", "5", "--generic", "--jobs", "1"),
      "7aa0ff60ea7174ca4f081a2077c489d6d8bb00a56ac6c6c0d9b1fc4e156c72ab"),
+    (("invariant", "P", "--d", "8", "--n", "4", "--p", "2", "--generic", "--jobs", "1"),
+     "41a4ce653de4820eb72dc5d0b92be9a1293a43b8e5133d905fb94acfa88ddb88"),
+    (("invariant", "P", "--d", "8", "--n", "4", "--p", "3", "--generic", "--jobs", "1"),
+     "7cd91beb3e9e38978b21833eccb2f63f67786e93f9f15d53a52077749e2066fa"),
+    (("invariant", "P", "--d", "8", "--n", "4", "--p", "4", "--generic", "--jobs", "1"),
+     "1c578289aa9c958ea618453bee8f7fcbe762cd785456d00ebf460ecfd62bd9f4"),
+    (("invariant", "P", "--d", "12", "--n", "6", "--p", "7", "--generic", "--jobs", "1"),
+     "bd77f5eff90f08e19ef11ac0e3ce6b038e4175f3f269a4ab994228901d22af08"),
     (("octavic", "verify", "--jobs", "1"),
      "e5c4af19b7480fbebdb26fe48dfe93423d83ade8c603eb8855466d3cb681d6bb"),
     (("bracket", "eval", "--expr", "(a b)^4 (a c)^2 (a d)^2 (b c)^2 (b d)^2 (c d)^4 ; deg=8",
@@ -218,7 +226,8 @@ SYMBOLIC_REPORTS = [
 
 @pytest.mark.parametrize(
     "argv,sha256", SYMBOLIC_REPORTS,
-    ids=("invariant-P", "octavic-verify", "bracket-eval", "shioda-2", "shioda-3", "shioda-4", "shioda-5"),
+    ids=("invariant-P", "invariant-P-p2", "invariant-P-p3", "invariant-P-p4", "invariant-P-d12",
+         "octavic-verify", "bracket-eval", "shioda-2", "shioda-3", "shioda-4", "shioda-5"),
 )
 def test_symbolic_report_bytes_are_pinned(capsys, argv, sha256):
     code, out, err = run(capsys, *argv)

@@ -16,6 +16,11 @@ from binform.forms import (
 )
 from binform.invariants import (
     _apolar_trace_product,
+    _balance,
+    _half_powers,
+    _matrix,
+    _operator,
+    _reflects,
     charpoly_invariant,
     charpoly_invariants,
     octavic_identity_report,
@@ -25,7 +30,7 @@ from binform.invariants import (
     trace_invariant,
     transvection_matrix,
 )
-from binform.polyring import MultiPoly, charpoly, trace_product
+from binform.polyring import FIELD_BITS, MultiPoly, _reflected, charpoly, trace_product
 from binform.transvect import t_coeff, transvectant
 
 X14 = BinaryForm([1, 0, 0, 0, 1])  # x1^4 + x2^4
@@ -114,6 +119,21 @@ def test_half_power_trace_equals_full_power_trace(d, n):
             assert value == power.trace()
 
 
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_trace_off_the_reflection_equals_full_power_trace(n):
+    # f1 doubled: sigma(f_1) != f_(d-1), so the pairing must not reflect
+    f = _f1_doubled(8)
+    for p, power in enumerate(transvection_matrix(f, n).powers(5), 1):
+        assert trace_invariant(f, n, p) == power.trace(), p
+
+
+@pytest.mark.parametrize("d,n", ORACLE_SHAPES)
+def test_generic_trace_is_fixed_by_the_reflection(d, n):
+    for p in range(1, 8):
+        value = trace_invariant(generic_form(d), n, p)
+        assert value.reflect() == value, p
+
+
 def test_transvection_matrix_is_self_adjoint_for_the_apolar_form():
     # M^T Omega = Omega M entrywise, as a t_coeff identity with s = i - j + k:
     # C(n, i) t(s, n - i) = (-1)^(i+j) C(n, j) t(s, j), exact on a window
@@ -147,6 +167,93 @@ def test_apolar_pairing_equals_the_full_pairing(k, n):
                         assert value.vars == ring
                     if f is zero or (k, n, a + b) == (2, 3, 3):
                         assert not value
+
+
+def _reflect_by_fields(nums, nvars):
+    """sigma on packed keys field by field: unpack every exponent, reverse
+    the tuple, pack it again."""
+    mask = (1 << FIELD_BITS) - 1
+    out = {}
+    for key, v in nums.items():
+        exp = [(key >> (FIELD_BITS * (nvars - 1 - i))) & mask for i in range(nvars)]
+        packed = sum(exp)
+        for e in reversed(exp):
+            packed = (packed << FIELD_BITS) | e
+        out[packed] = v
+    return out
+
+
+@pytest.mark.parametrize("nvars", (1, 2, 5, 9, 13))
+def test_key_reflection_against_a_per_field_reference(nvars):
+    # seeded keys below 256 (the byte route), one polynomial with an
+    # exponent >= 256 (the field route), and one of degree >= 256 whose
+    # exponents are all below 256 (the field route too)
+    rng = random.Random(nvars)
+    names = tuple(f"x{i}" for i in range(nvars))
+    small = {tuple(rng.randint(0, 40 // nvars + 3) for _ in range(nvars)): rng.randint(-9, 9) or 1 for _ in range(30)}
+    large = dict(small)
+    large[tuple(rng.randint(0, 9) for _ in range(nvars - 1)) + (256 + rng.randint(0, 999),)] = 7
+    wide = {tuple([255] * nvars): 3, tuple(rng.randint(0, 255) for _ in range(nvars)): -2}
+    for terms in (small, large, wide, {}):
+        p = MultiPoly(names, {exp: Fraction(c, 6) for exp, c in terms.items()})
+        assert _reflected(p.nums, nvars) == _reflect_by_fields(p.nums, nvars)
+        image = p.reflect()
+        assert image.terms == {exp[::-1]: c for exp, c in p.terms.items()}
+        assert image.reflect() == p and image.den == p.den
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (2, 4, 6) for n in range(k, k + 6)])
+def test_reflection_maps_power_entries_to_the_reversed_index(k, n):
+    # sigma(M^e_ij) = M^e_(n-i, n-j) at the generic form, entry by entry,
+    # over full matrix products in the monomial basis
+    for e, power in enumerate(transvection_matrix(generic_form(2 * k), n).powers(3), 1):
+        for i in range(n + 1):
+            for j in range(n + 1):
+                assert power[i, j].reflect() == power[n - i, n - j], (e, i, j)
+
+
+def _f1_doubled(d):
+    f = generic_form(d)
+    return BinaryForm([2 * c if s == 1 else c for s, c in enumerate(f.coeffs)])
+
+
+def test_reflects_only_at_reflection_fixed_forms():
+    assert _reflects(generic_form(4)) and _reflects(generic_form(8))
+    assert not _reflects(_f1_doubled(8))
+    assert _reflects(X18) and not _reflects(BinaryForm([1, 2, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (2, 4, 6) for n in range(k, k + 6)])
+def test_half_powers_equal_full_products_in_the_balanced_basis(k, n):
+    # the mirrored entries of the half chain against full products of the
+    # balanced matrix, and the balanced matrix against T^-1 M T
+    f = generic_form(2 * k)
+    m, t = transvection_matrix(f, n), _balance(n)
+    balanced = _matrix(f, n, t)
+    assert all(balanced[i, j] == m[i, j] * Fraction(t[j], t[i]) for i in range(n + 1) for j in range(n + 1))
+    top = 3 if k < 6 else 2
+    for half, full in zip(_half_powers(balanced, top), balanced.powers(top)):
+        assert half == full
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (2, 4, 6) for n in range(k, k + 6)])
+def test_quarter_pairing_equals_the_full_pairing(k, n):
+    # the grid of test_apolar_pairing_equals_the_full_pairing, through the
+    # pairing as trace_invariant calls it: reflect where the form allows it,
+    # a is b for equal powers, on both power chains
+    rng = random.Random(k * 1000 + n)
+    palindrome = [Fraction(rng.randint(-9, 9)) for _ in range(k + 1)]
+    cases = [(generic_form(2 * k), 10 if k == 2 else 6), (_f1_doubled(2 * k), 10 if k == 2 else 5),
+             (random_form(2 * k, rng), 10), (BinaryForm(palindrome + palindrome[-2::-1]), 10)]
+    for f, top in cases:
+        reflect = _reflects(f)
+        m, chain = _operator(f, n, 5)
+        for powers in (list(transvection_matrix(f, n).powers(5)), list(chain(m, 5))):
+            for a, pa in enumerate(powers, 1):
+                for b, pb in enumerate(powers, 1):
+                    if a + b <= top:
+                        value = _apolar_trace_product(pa, pb, reflect and a != b)
+                        assert value == trace_product(pa, pb), (a, b)
 
 
 @pytest.mark.parametrize("d,n", ((4, 2), (4, 3), (4, 5), (8, 4), (8, 5)))
