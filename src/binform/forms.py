@@ -40,6 +40,11 @@ class BinaryForm:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def ring(self):
+        """The variables of the MultiPoly coefficients; None for a numeric form."""
+        return next((c.vars for c in self.coeffs if isinstance(c, MultiPoly)), None)
+
     def is_numeric(self) -> bool:
         return all(isinstance(c, Fraction) for c in self.coeffs)
 
@@ -53,8 +58,11 @@ class BinaryForm:
         return self.coeffs[0]
 
     def evaluate(self, x1, x2):
-        d = self.degree
-        return sum((c * x1 ** (d - i) * x2 ** i for i, c in enumerate(self.coeffs) if c), 0)
+        """F(x1, x2) in the form's ring, zero included: Fraction(0) for an
+        all-zero numeric form, the zero MultiPoly for a symbolic one."""
+        d, ring = self.degree, self.ring
+        zero = Fraction(0) if ring is None else MultiPoly.zero(ring)
+        return sum((c * x1 ** (d - i) * x2 ** i for i, c in enumerate(self.coeffs) if c), zero)
 
     # linear-space structure (forms of equal degree)
 

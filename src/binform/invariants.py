@@ -13,15 +13,11 @@ one code path.
 
 M is self-adjoint for the apolar form Omega[i][j] = delta_{i+j,n}
 (-1)^i / C(n, i), that is M^T Omega = Omega M (proved at
-``_apolar_trace_product``), and so is every power of M.  A trace
-tr(M^a M^b) therefore reads only the entries on and above the
-antidiagonal of the two powers: about half the products of the plain
-pairing sum_ij (M^a)_ij (M^b)_ji.  The term P_ji of that pairing follows
-from P_ij when a = b (it is equal) and at the generic form, whose
-reflection x1 <-> x2 is the variable reversal sigma: f_s -> f_(d-s)
-(P_ji = sigma(P_ij)).  There the pairing reads only the pairs with
-i <= j as well, about a quarter of the plain one, and applies sigma once
-to the packed keys of its sum.  A symbolic running power is made in the
+``_apolar_trace_product``), and so is every power of M.  A symbolic
+trace tr(M^a M^b) therefore reads only the entries on and above the
+antidiagonal of the two powers, and only those with i <= j as well when
+a = b or at the generic form, whose reflection x1 <-> x2 is the variable
+reversal sigma: f_s -> f_(d-s).  A symbolic running power is made in the
 balanced basis S M S^-1 (``_balance``), where the apolar relation says
 that an entry below the antidiagonal is its mirror above it or that
 mirror's negation, so each product computes only the entries on and
@@ -37,7 +33,7 @@ from functools import partial
 
 from .exactnum import alt_sign, fact_product
 from .forms import BinaryForm, generic_form
-from .polyring import MultiPoly, RingMatrix, _dot, _fused, _poly, _reflected, charpoly
+from .polyring import MultiPoly, RingMatrix, _dot, _fused, _poly, _reflected, charpoly, trace_product
 from .sixj import sixj_sum
 from .transvect import t_coeff, transvectant
 from .umbral import octavic_a_bracket, octavic_b_bracket, umbral_eval
@@ -74,7 +70,7 @@ def _matrix(form: BinaryForm, n: int, scale) -> RingMatrix:
     k = _check_fk(form, n)
     d = form.degree
     coeffs = form.coeffs
-    ring = next((c.vars for c in coeffs if isinstance(c, MultiPoly)), None)
+    ring = form.ring
     if ring is not None:  # every entry of a symbolic matrix is a MultiPoly
         coeffs = [c if isinstance(c, MultiPoly) else MultiPoly.const(ring, c) for c in coeffs]
     zero = Fraction(0) if ring is None else MultiPoly.zero(ring)
@@ -139,7 +135,7 @@ def _operator(form: BinaryForm, n: int, p: int):
     balanced basis, and a numeric form's products are integer products
     over D, D^2, ... in the monomial basis, where the entries stay small.
     Both give the same traces."""
-    if p >= 2 and any(isinstance(c, MultiPoly) for c in form.coeffs):
+    if p >= 2 and form.ring is not None:
         return _matrix(form, n, _balance(n)), _half_powers
     return transvection_matrix(form, n), RingMatrix.powers
 
@@ -157,10 +153,10 @@ def _reflects(form: BinaryForm) -> bool:
 
 def _apolar_trace_product(a: RingMatrix, b: RingMatrix, reflect: bool = False):
     """tr(a @ b) = sum_ij P_ij, P_ij = a_ij b_ji, for two powers a, b of one
-    transvection matrix M (or of one balanced matrix S M S^-1), from the
-    entries on and above the antidiagonal alone, and from only those with
-    i <= j when P_ji follows from P_ij: always when a is b, where
-    P_ji = P_ij, and when ``reflect`` says the form is fixed by the
+    transvection matrix M (or of one balanced matrix S M S^-1); over Q[f]
+    from the entries on and above the antidiagonal alone, and from only
+    those with i <= j when P_ji follows from P_ij: always when a is b,
+    where P_ji = P_ij, and when ``reflect`` says the form is fixed by the
     reflection (``_reflects``), where P_ji = sigma(P_ij).
 
     Half of the index pairs.  The apolar form <G, H> = (G, H)_n on the
@@ -205,45 +201,31 @@ def _apolar_trace_product(a: RingMatrix, b: RingMatrix, reflect: bool = False):
 
     so with W = 2U + Dg + V + Mid/2, tr(ab) = W + sigma(W); and when a is b,
     sigma can be taken as the identity, so tr(ab) = 2W for every form.
-    The sum computes 2W and applies sigma once to its packed keys.
 
-    Over Q the value is one integer pairing of a's sparse rows
-    (``_integral``) over the same domains, with b_ji read from b's sparse
-    rows.  Over Q[f] the half route is one fused sum above the
-    antidiagonal and one more that adds twice it to the antidiagonal; the
-    quarter route is one fused sum (``_fused``) that weights each product
-    by its orbit, and, when a is not b, one merge of 2W with its image
-    under sigma (``_reflected``) over twice its denominator.  Every entry
-    of a symbolic power is a MultiPoly (``_matrix`` lifts rational
-    coefficients).  The value keeps the ring, as ``trace_product`` does.
+    Over Q the value is ``trace_product``, one integer pairing over every
+    nonzero entry: there the integer running power, not the pairing, is
+    the cost.  Over Q[f] it is one fused sum (``_fused``) over the half or
+    the quarter domain, each product weighted by its orbit (``_orbit``),
+    and, when ``reflect`` is set and a is not b, one merge of 2W with its
+    image under sigma (``_reflected``) over twice its denominator.
+    Every entry of a symbolic power is a MultiPoly (``_matrix`` lifts
+    rational coefficients).  The value keeps the ring, as
+    ``trace_product`` does.
     """
-    n = a.nrows - 1
     variables = a._ring(b)
+    if variables is None:
+        return trace_product(a, b)
+    n = a.nrows - 1
     quarter = a is b or reflect
-    if variables is None:  # sigma is the identity on Q, so tr = 2W
-        (rows, d), (brows, e) = a._integral(), b._integral()
-        total = 0
-        if quarter:
-            total = sum(_orbit(i, j, n) * x * brows[j].get(i, 0)
-                        for i in range(n // 2 + 1) for j, x in rows[i].items() if i <= j <= n - i)
-            return Fraction(total, d * e)
-        for i, row in enumerate(rows):
-            total += 2 * sum(x * brows[j].get(i, 0) for j, x in row.items() if j < n - i)
-            total += row.get(n - i, 0) * brows[n - i].get(i, 0)
-        return Fraction(total, d * e)
     rows, cols = a.rows, list(zip(*b.rows))
-    if not quarter:
-        above = _dot(variables, [pair for i in range(n) for pair in zip(rows[i][:n - i], cols[i][:n - i])])
-        return _dot(variables, [(above, 2)] + [(rows[i][n - i], cols[i][n - i]) for i in range(n + 1)])
-    # 2W as one fused sum, each product weighted by its orbit
     factors = []
-    for i in range(n // 2 + 1):
-        for j in range(i, n - i + 1):
+    for i in range(n + 1):
+        for j in range(i if quarter else 0, n - i + 1):
             x, y = rows[i][j], cols[i][j]
             if x and y:
-                factors.append((x.nums, y.nums, _orbit(i, j, n), x.den * y.den))
+                factors.append((x.nums, y.nums, _orbit(i, j, n, quarter), x.den * y.den))
     total = _fused(variables, factors)
-    if a is b:
+    if a is b or not reflect:
         return total
     # tr = (2W + sigma(2W)) / 2, merged key by key
     nums = dict(total.nums)
@@ -253,10 +235,12 @@ def _apolar_trace_product(a: RingMatrix, b: RingMatrix, reflect: bool = False):
     return _poly(variables, 2 * total.den, {key: v for key, v in nums.items() if v})
 
 
-def _orbit(i: int, j: int, n: int) -> int:
-    """The weight of P_ij, i <= j and i + j <= n, in 2W (``_apolar_trace_product``):
-    4 on U, 2 on Dg and V, 1 at the centre."""
-    return 1 if 2 * i == n else 2 if j == i or j == n - i else 4
+def _orbit(i: int, j: int, n: int, quarter: bool) -> int:
+    """The weight of P_ij in the sum of ``_apolar_trace_product``: 2 off
+    the antidiagonal and 1 on it, doubled for i < j on the quarter domain,
+    so 4 on U, 2 on Dg and V and 1 at the centre of 2W."""
+    w = 1 if i + j == n else 2
+    return 2 * w if quarter and i < j else w
 
 
 def trace_invariant(form: BinaryForm, n: int, p: int):
@@ -268,15 +252,13 @@ def trace_invariant(form: BinaryForm, n: int, p: int):
     Computed as sum_ij (M^a)_ij (M^b)_ji with a = ceil(p/2), b = floor(p/2):
     one running power up to M^a, keeping M^b on the way, so ceil(p/2) - 1
     matrix products and one pairing instead of the p - 1 products of M^p.
-    Since M^T Omega = Omega M for the apolar form Omega, the pairing
-    (``_apolar_trace_product``) reads only the entries on and above the
-    antidiagonal, and only a quarter of the index pairs for even p or at
-    the generic form, where the reflection x1 <-> x2 relates (i, j) to
-    (j, i).  For a symbolic form the running power is made in the
-    balanced basis and computes only the entries on and above the
-    antidiagonal (``_half_powers``).  The matrix and its powers keep the
-    form's ring, so the value is a Fraction for a numeric form and a
-    MultiPoly for a symbolic one, zero included.
+    For a symbolic form the pairing (``_apolar_trace_product``) reads only
+    the entries on and above the antidiagonal, a quarter of the index
+    pairs for even p or at the generic form, and the running power
+    (``_half_powers``), made in the balanced basis, computes only those
+    entries.  The matrix and its powers keep the form's ring, so the value
+    is a Fraction for a numeric form and a MultiPoly for a symbolic one,
+    zero included.
     """
     if p < 1:
         raise ValueError("power must be >= 1")
@@ -287,6 +269,7 @@ def trace_invariant(form: BinaryForm, n: int, p: int):
             half = power
     if not b:
         return power.trace()
+    # a = b needs no sigma, so skip _reflects, which reflects every coefficient
     return _apolar_trace_product(power, half, a != b and _reflects(form))
 
 

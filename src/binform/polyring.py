@@ -48,7 +48,8 @@ matrix is cleared once to M = A / D, A sparse integer rows (dicts from
 column to nonzero int) and D one positive denominator, and stays so
 through products: the product of A / D and B / E is (A @ B) / (D E), so
 a running power is a chain of integer products over D, D^2, ..., and a
-trace of a product is one integer pairing and one Fraction.  Fraction
+trace of a product (``trace_product``, which every numeric pairing of the
+package takes) is one integer pairing and one Fraction.  Fraction
 entries are built only when ``rows`` is read.  ``_times`` is the one
 integer matrix product of the package (the Jacobian's running power uses
 it too, mod a prime), with two routes.  The sparse route combines the
@@ -548,7 +549,8 @@ def charpoly(m: RingMatrix, pairing=trace_product, powers=RingMatrix.powers) -> 
     over Q it is one integer pairing of the integer powers over D, D^2,
     ... (``RingMatrix._integral``).  Another pairing is valid when it
     equals tr(a @ b) whenever both arguments are powers of M, as the
-    apolar pairing of ``invariants`` does for a transvection matrix.
+    apolar pairing of ``invariants`` does for a polynomial transvection
+    matrix (over Q it is ``trace_product`` itself).
     ``powers(m, p)`` yields M, ..., M^p; another chain than
     ``RingMatrix.powers`` may make them, as ``invariants`` does.
     Each sum of the recurrence is one ``_dot`` over the matrix's ring.

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .exactnum import alt_sign
 from .forms import BinaryForm
-from .polyring import MultiPoly, _dot
+from .polyring import _dot
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
@@ -31,7 +31,7 @@ def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
     if not 0 <= k <= min(m, n):
         raise ValueError(f"transvectant index {k} out of range for orders ({m}, {n})")
     fc, gc = f.coeffs, g.coeffs
-    ring = next((c.vars for c in fc + gc if isinstance(c, MultiPoly)), None)
+    ring = f.ring if f.ring is not None else g.ring
     # coefficient t pairs f_i with g_j over i + j = s = t + k
     return BinaryForm([_dot(ring, [(t_coeff(i, s - i, m, n, k) * fc[i], gc[s - i])
                                    for i in range(max(0, s - n), min(m, s) + 1)])

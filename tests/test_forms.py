@@ -96,6 +96,18 @@ def test_constant_accessor():
         monomial(2, 1).constant()
 
 
+def test_evaluate_keeps_the_ring_at_the_zero_form():
+    numeric = BinaryForm([0, 0, 0]).evaluate(Fraction(2), Fraction(3))
+    assert type(numeric) is Fraction and numeric == 0
+    ring = generic_form(4).coeffs[0].vars
+    symbolic = BinaryForm([MultiPoly.zero(ring)] * 5).evaluate(Fraction(2), Fraction(3))
+    assert type(symbolic) is MultiPoly and symbolic.vars == ring and not symbolic.terms
+    # a nonzero form: f0 x1^4 + ... + f4 x2^4 at (1, 1) is f0 + ... + f4
+    value = generic_form(4).evaluate(Fraction(1), Fraction(1))
+    assert value == sum(generic_form(4).coeffs[1:], generic_form(4).coeffs[0])
+    assert BinaryForm([1, -2, 1]).evaluate(Fraction(3), Fraction(1)) == 4  # (x1 - x2)^2
+
+
 def test_json_roundtrip(tmp_path):
     f = BinaryForm([Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(7, 5)])
     assert form_from_json(form_to_json(f)) == f

@@ -161,8 +161,10 @@ def test_apolar_pairing_equals_the_full_pairing(k, n):
         for a, pa in enumerate(powers, 1):
             for b, pb in enumerate(powers, 1):
                 if a + b <= top:
+                    # over Q the full product, which shares no code with the pairing
+                    want = (pa @ pb).trace() if kind is Fraction else trace_product(pa, pb)
                     value = _apolar_trace_product(pa, pb)
-                    assert type(value) is kind and value == trace_product(pa, pb), (a, b)
+                    assert type(value) is kind and value == want, (a, b)
                     if kind is MultiPoly:
                         assert value.vars == ring
                     if f is zero or (k, n, a + b) == (2, 3, 3):
@@ -217,9 +219,16 @@ def _f1_doubled(d):
     return BinaryForm([2 * c if s == 1 else c for s, c in enumerate(f.coeffs)])
 
 
+def _mixed(d):
+    """The generic form with f1 = 3/2 and fd = 0: rational coefficients
+    among the variables, and not fixed by sigma."""
+    f = generic_form(d)
+    return BinaryForm([Fraction(3, 2) if s == 1 else 0 if s == d else c for s, c in enumerate(f.coeffs)])
+
+
 def test_reflects_only_at_reflection_fixed_forms():
     assert _reflects(generic_form(4)) and _reflects(generic_form(8))
-    assert not _reflects(_f1_doubled(8))
+    assert not _reflects(_f1_doubled(8)) and not _reflects(_mixed(8))
     assert _reflects(X18) and not _reflects(BinaryForm([1, 2, 0, 0, 1]))
 
 
@@ -239,11 +248,13 @@ def test_half_powers_equal_full_products_in_the_balanced_basis(k, n):
 @pytest.mark.parametrize("k,n", [(k, n) for k in (2, 4, 6) for n in range(k, k + 6)])
 def test_quarter_pairing_equals_the_full_pairing(k, n):
     # the grid of test_apolar_pairing_equals_the_full_pairing, through the
-    # pairing as trace_invariant calls it: reflect where the form allows it,
-    # a is b for equal powers, on both power chains
+    # pairing as trace_invariant calls it: reflect where the form allows it
+    # (a is b for equal powers), on both power chains; the mixed form, which
+    # sigma does not fix, takes the half domain for a is not b
     rng = random.Random(k * 1000 + n)
     palindrome = [Fraction(rng.randint(-9, 9)) for _ in range(k + 1)]
     cases = [(generic_form(2 * k), 10 if k == 2 else 6), (_f1_doubled(2 * k), 10 if k == 2 else 5),
+             (_mixed(2 * k), 10 if k == 2 else 5),
              (random_form(2 * k, rng), 10), (BinaryForm(palindrome + palindrome[-2::-1]), 10)]
     for f, top in cases:
         reflect = _reflects(f)
@@ -252,8 +263,11 @@ def test_quarter_pairing_equals_the_full_pairing(k, n):
             for a, pa in enumerate(powers, 1):
                 for b, pb in enumerate(powers, 1):
                     if a + b <= top:
-                        value = _apolar_trace_product(pa, pb, reflect and a != b)
-                        assert value == trace_product(pa, pb), (a, b)
+                        want = (pa @ pb).trace() if f.is_numeric() else trace_product(pa, pb)
+                        assert _apolar_trace_product(pa, pb, reflect) == want, (a, b)
+    if k == 2:  # the mixed form's characteristic coefficients, at odd and even n
+        f = _mixed(2 * k)
+        assert charpoly_invariants(f, n) == charpoly(transvection_matrix(f, n), trace_product)
 
 
 @pytest.mark.parametrize("d,n", ((4, 2), (4, 3), (4, 5), (8, 4), (8, 5)))
