@@ -15,16 +15,12 @@ row r of the Jacobian is a nonzero rational multiple of the integer row
 
 and one running integer power of A serves every row.  W_ij factors as
 (-1)^(k-i) C(k, j) E / C(2k, s), so it is held as two vectors and never
-as a table (``_weights``).  The products of the running power are
-``polyring._times``, the package's one integer matrix product, on sparse
-rows (column -> nonzero int), and the form is cleared to F / D_f as a
-one-row matrix (``RingMatrix._integral``), the package's one clearing
-rule.  The rank route runs the loop mod a 26-bit prime (see
-``jacobian_rank``): there A is packed once into 64-bit slots
-(``polyring._right_factor``), and a dense row of a product is one big-int
-multiply-add per nonzero entry.  Should that rank fall short, the route
-eliminates the integer rows N_r themselves; only the public oracle
-``jacobian_matrix`` builds Fractions, one per entry.
+as a table (``_weights``).  The rank runs the loop mod a 26-bit prime
+(see ``jacobian_rank``) in the packed GF(p) layer of ``polyring``, from
+the running power (``_times_folded``) to the elimination (``_gf_rank``);
+exact powers and the witness's take sparse rows (``_times``).  Should
+the rank mod p fall short, the route eliminates the integer rows N_r
+themselves; only the public oracle ``jacobian_matrix`` builds Fractions.
 
 Specializing at the nullcone form x1^(k-1) x2^(k+1) collapses each row
 to a single entry with an explicit closed form in N(k, r); the k x k minor
@@ -45,14 +41,12 @@ from .combsum import nkr
 from .exactnum import alt_sign, binom_ext
 from .forms import BinaryForm, random_form, unstable_form
 from .invariants import _check_fk
-from .polyring import RingMatrix, _bareiss, _right_factor, _times
+from .polyring import (SLOT_BITS, RingMatrix, _bareiss, _dense, _FOLD_PRIME, _gf_rank, _slots, _times,
+                       _times_folded, _unslots)
 
-# The prime of the modular rank proof: the largest below 2^26, so that
-# n(p-1)^2 < 2^64 for every n <= 4096, and a packed product row of the
-# running power (``polyring._right_factor``) holds each entry in one
-# 64-bit slot up to k = 4095.  Any prime gives a proof; a large one makes
-# a rank that falls short mod p, and so the exact fallback, rare.
-RANK_PRIME = 2**26 - 5
+# The prime of the modular rank proof, that of the packed layer of ``polyring``:
+# any prime gives a proof, and a large one makes the exact fallback rare.
+RANK_PRIME = _FOLD_PRIME
 
 
 def _weights(k: int) -> tuple[list[int], list[int], int]:
@@ -74,22 +68,19 @@ def _gradient_rows(form: BinaryForm, modulus: int | None = None):
     numeric form is scale * row, for the integer row N_r of the module
     docstring.
 
-    M_ij = f_(i-j+k) W_ji / E is linear in the form, so clearing the form
-    to F / D_f (``RingMatrix._integral`` of the one-row matrix of its
-    coefficients) gives M = A / D with A_ij = F_(i-j+k) W_ji and D = D_f E,
-    where W_ij = (-1)^(k-i) C[j] Q[j-i+k] (``_weights``).  The loop carries
-    one integer running power P = A^(r-1), so M^(r-1) = P / D^(r-1), and
+    Clearing the form to F / D_f (``RingMatrix._integral``) gives M = A / D
+    with A_ij = F_(i-j+k) W_ji and D = D_f E (``_weights``).  The running
+    power is P = A^(r-1) diag(C), stepped by P <- A P, so that
 
-        row[s] = sum_{j-i+k=s} P_ij W_ij
-               = Q[s] * sum_{j-i+k=s} (-1)^(k-i) C[j] P_ij,
+        row[s] = Q[s] * sum_{j-i+k=s} (-1)^(k-i) P_ij,
 
-    the inner sums taken over the rows i of each sign apart; the scale is
-    then r / (D^(r-1) E) in closed form.  P is held as sparse rows
-    (``polyring._times``), and the reduction and the row sums touch its
-    nonzero entries only, so at the witness, where every power has at
-    most one nonzero entry per row, a product costs O(k).  With a
-    modulus, P and the rows are reduced mod it, the right factor A is
-    packed once for the packed route of ``_times``, and scale is None.
+    over the rows i of each sign apart, and the scale is r / (D^(r-1) E).
+    With a modulus every value is reduced mod it, and scale is None.  Mod
+    ``polyring._FOLD_PRIME``, when a row of A has two nonzero entries, P is
+    packed (``polyring._times_folded``), and row i shifted by k - i slots
+    puts P_ij in slot s, so one sum of shifted rows per sign holds the inner
+    sums.  Otherwise P is sparse rows (``polyring._times``), as for every
+    exact power and at the witness, where a product costs O(k).
     """
     if not form.is_numeric():
         raise ValueError("the Jacobian is evaluated at numeric forms")
@@ -100,20 +91,25 @@ def _gradient_rows(form: BinaryForm, modulus: int | None = None):
     a = [{j: alt_sign(k - j) * c * quotients[s] * x for s, x in f.items() if 0 <= (j := i - s + k) <= k}
          for i, c in enumerate(combs)]
     d = fden * e  # M = A / d
+    power = [{j: x * combs[j] for j, x in row.items()} for row in a]
     if modulus is not None:
-        a = [{j: v for j, x in row.items() if (v := x % modulus)} for row in a]
-        combs = [c % modulus for c in combs]
+        a, power = ([{j: v for j, x in row.items() if (v := x % modulus)} for row in m] for m in (a, power))
         quotients = [x % modulus for x in quotients]
-    right = None if modulus is None else _right_factor(a, n, modulus)
-    power = a
+    packed = modulus == _FOLD_PRIME and n <= 4096 and max(map(len, a)) > 1
+    if packed:
+        a, power = [_dense(row, n) for row in a], [_slots(_dense(row, n)) for row in power]
     for r in range(2, k + 2):
         if r > 2:
-            power = _times(power, a, right, modulus)
-        plus, minus = sums = [0] * (2 * k + 1), [0] * (2 * k + 1)  # rows i with (-1)^(k-i) = +1, -1
-        for shift, prow in zip(range(k, -1, -1), power):  # s = j + k - i
-            part = sums[shift & 1]
-            for j, x in prow.items():
-                part[j + shift] += x * combs[j]
+            power = _times_folded(a, power, n) if packed else _times(a, power, modulus)
+        if packed:
+            plus, minus = (_unslots(sum(x << SLOT_BITS * (k - i) for i, x in enumerate(power) if i % 2 == odd),
+                                    2 * k + 1) for odd in (0, 1))  # rows i with (-1)^(k-i) = +1, -1
+        else:
+            plus, minus = sums = [0] * (2 * k + 1), [0] * (2 * k + 1)
+            for shift, prow in zip(range(k, -1, -1), power):  # s = j - i + k
+                part = sums[shift & 1]
+                for j, x in prow.items():
+                    part[j + shift] += x
         if modulus is None:
             yield Fraction(r, d ** (r - 1) * e), [q * (x - y) for q, x, y in zip(quotients, plus, minus)]
         else:
@@ -134,24 +130,6 @@ def jacobian_matrix(form: BinaryForm) -> RingMatrix:
     return RingMatrix(rows)
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    """Rank of the integer rows over GF(p), p prime, by Gaussian elimination in place."""
-    rank = 0
-    for col in range(len(rows[0])):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        top = [x * inv % p for x in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
-        rank += 1
-    return rank
-
-
 def jacobian_rank(form: BinaryForm) -> int:
     """Rank over Q of ``jacobian_matrix(form)``, proved modulo RANK_PRIME.
 
@@ -168,7 +146,7 @@ def jacobian_rank(form: BinaryForm) -> int:
     """
     p = RANK_PRIME
     rows = [row for _, row in _gradient_rows(form, p)]
-    if _rank_mod(rows, p) == len(rows):
+    if _gf_rank(rows, p) == len(rows):
         return len(rows)
     return _bareiss([row for _, row in _gradient_rows(form)])[0]
 

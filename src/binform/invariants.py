@@ -143,12 +143,14 @@ def _operator(form: BinaryForm, n: int, p: int):
 def _reflects(form: BinaryForm) -> bool:
     """Whether sigma(f_s) = f_(d-s) for every coefficient, sigma the
     variable reversal of the ring (``MultiPoly.reflect``; the identity on
-    Q): true at the generic form, whose f_s is the s-th variable of
-    f0..fd, and false once one coefficient is changed alone, f1 doubled
-    say.  Then sigma(F) = F(x2, x1), which the quarter route of
-    ``_apolar_trace_product`` needs."""
+    Q): true at the generic form, false once f1 alone is doubled, say.
+    Then sigma(F) = F(x2, x1), which the quarter route of
+    ``_apolar_trace_product`` needs.  Two MultiPolys compare by their
+    reflected numerators, with no MultiPoly built."""
     c = form.coeffs
-    return all((c[s].reflect() if isinstance(c[s], MultiPoly) else c[s]) == c[-1 - s] for s in range(len(c) // 2 + 1))
+    return all(a.vars == b.vars and a.den == b.den and _reflected(a.nums, len(a.vars)) == b.nums
+               if isinstance(a, MultiPoly) and isinstance(b, MultiPoly) else a == b
+               for a, b in zip(c[:len(c) // 2 + 1], reversed(c)))
 
 
 def _apolar_trace_product(a: RingMatrix, b: RingMatrix, reflect: bool = False):

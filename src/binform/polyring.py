@@ -51,20 +51,13 @@ a running power is a chain of integer products over D, D^2, ..., and a
 trace of a product (``trace_product``, which every numeric pairing of the
 package takes) is one integer pairing and one Fraction.  Fraction
 entries are built only when ``rows`` is read.  ``_times`` is the one
-integer matrix product of the package (the Jacobian's running power uses
-it too, mod a prime), with two routes.  The sparse route combines the
-nonzero entries of the rows of the right operand that a row's nonzero
-entries select; every exact product takes it.  Mod p, a row with at least
-half its entries nonzero is one big-int sum instead: each row of the
-right operand is packed once (``_right_factor``) into one int of 64-bit
-slots (Kronecker substitution), so a product row is
-sum_j x_j * packed(B_j), one multiply-add per nonzero entry, read back
-slot by slot and reduced mod p.  No slot carries while n(p-1)^2 < 2^64
-for the n rows of the right operand; past that bound nothing is packed,
-and every row takes the sparse route.  A trace of a product over Q reads
-B_ji from the sparse rows of B for each nonzero A_ij.  A polynomial
-product or pairing hands its entries to ``_dot`` as they are, rationals
-and zeros included.  The characteristic polynomial comes from the
+integer product of sparse rows, reduced mod a prime if asked.  Over GF(p)
+there is a packed layer too, rows of 64-bit slots (``_slots``): a row of
+a product (``_times_folded``) is one C-level sum, and a step of
+elimination (``_gf_rank``) one big-int multiply-add.  A trace of a product
+over Q reads B_ji from the sparse rows of B for each nonzero A_ij.  A
+polynomial product or pairing hands its entries to ``_dot`` as they are,
+rationals and zeros included.  The characteristic polynomial comes from the
 trace-power (Newton) recurrence, whose divisions are by integers, so one
 loop serves rational and MultiPoly entries alike; its traces pair M, ...,
 M^ceil(n/2).
@@ -491,7 +484,7 @@ class RingMatrix:
         variables = self._ring(other)
         if variables is None:
             (a, d), (b, e) = self._integral(), other._integral()
-            return RingMatrix._cleared(_times(a, b, None), d * e, other.ncols)
+            return RingMatrix._cleared(_times(a, b), d * e, other.ncols)
         cols = list(zip(*other.rows))
         return RingMatrix([[_dot(variables, zip(row, col)) for col in cols] for row in self.rows])
 
@@ -580,63 +573,90 @@ def _dense(row: dict, n: int) -> list[int]:
     return list(map(row.get, range(n), repeat(0)))
 
 
-def _right_factor(b: list[dict], ncols: int, modulus: int):
-    """The packed rows of the sparse residue rows b that the packed route
-    of ``_times`` reads, made once per right factor, since a running power
-    multiplies by the same one at every step; None when they would not fit.
-
-    Packed row j is sum_t b[j][t] * 2^(64*t), one 64-bit slot per entry,
-    so b must hold residues, ints in [0, modulus).  A slot of a product row
-    sums at most n = len(b) products of two residues, so it fits when
-    n*(modulus-1)^2 < 2^64; otherwise this returns None, and ``_times``
-    takes the sparse route for every row.  Each row is written as
-    little-endian bytes, slot by slot, and read back as one int, whatever
-    the host's byte order.
-    """
-    if len(b) * (modulus - 1) ** 2 >> 64:
-        return None
-    fmt = f"<{ncols}Q"
-    return [int.from_bytes(pack(fmt, *_dense(row, ncols)), "little") for row in b], ncols
-
-
-def _times(a: list[dict], b: list[dict], right, modulus: int | None = None) -> list[dict]:
+def _times(a: list[dict], b: list[dict], modulus: int | None = None) -> list[dict]:
     """The integer product a @ b of sparse rows (dicts from column to
-    nonzero int), reduced mod ``modulus`` if one is given.  Entries that
-    vanish are dropped.
-
-    Two routes.  The sparse route combines, for each nonzero entry x_j of
-    a row of a, x_j times the nonzero entries of row j of b; every row
-    takes it when ``right`` is None, as in every exact product.  Mod
-    ``modulus``, where a and b hold residues and ``right`` is b's packed
-    rows from ``_right_factor``, a row with at least half its entries
-    nonzero takes the packed route instead (the Jacobian witness's powers
-    have at most one, and keep the sparse route): the one big-int sum
-    S = sum_j x_j * packed(b_j) over its nonzero entries.  No slot of S
-    carries into the next: slot t of S is sum_j x_j b_jt, at most n terms
-    each at most (modulus-1)^2, so it is at most n*(modulus-1)^2 < 2^64
-    (``_right_factor``), and S is the integer whose 64-bit digits are the
-    exact entries of the product row.  S is written as little-endian
-    bytes and read back by an explicitly little-endian struct format
-    ("<"), so unpacking does not depend on the host byte order.  Each
-    entry is then reduced mod ``modulus``.
-    """
-    n = len(b)
-    if right is not None:
-        packed, m = right
-        fmt = f"<{m}Q"
+    nonzero int), reduced mod ``modulus`` if one is given: for each nonzero
+    entry x_j of a row of a, x_j times the nonzero entries of row j of b.
+    Entries that vanish are dropped."""
     out = []
     for row in a:
-        if right is None or 2 * len(row) < n:
-            acc = {}
-            get = acc.get
-            for j, x in row.items():
-                for t, y in b[j].items():
-                    acc[t] = get(t, 0) + x * y
-            sums = acc.items()
-        else:
-            sums = enumerate(unpack(fmt, sum(map(mul, row.values(), map(packed.__getitem__, row))).to_bytes(8 * m, "little")))
-        out.append({t: r for t, v in sums if (r := v % modulus)} if modulus else dict(filter(itemgetter(1), sums)))
+        acc = {}
+        get = acc.get
+        for j, x in row.items():
+            for t, y in b[j].items():
+                acc[t] = get(t, 0) + x * y
+        out.append({t: r for t, v in acc.items() if (r := v % modulus)} if modulus else dict(filter(itemgetter(1), acc.items())))
     return out
+
+
+SLOT_BITS = 64
+_SLOT_MASK = (1 << SLOT_BITS) - 1
+_FOLD_PRIME = (1 << 26) - 5  # the largest prime below 2^26: 2^26 = 5 mod p
+
+
+def _slots(values: list[int]) -> int:
+    """The ints ``values``, each in [0, 2^64), as one int: value t in 64-bit slot t."""
+    return int.from_bytes(pack(f"<{len(values)}Q", *values), "little")
+
+
+def _unslots(x: int, n: int) -> tuple[int, ...]:
+    """The n 64-bit slots of x, 0 <= x < 2^(64n), slot 0 first."""
+    return unpack(f"<{n}Q", x.to_bytes(8 * n, "little"))
+
+
+def _times_folded(a: list[list[int]], b: list[int], ncols: int) -> list[int]:
+    """The packed rows of a @ B mod p = 2^26 - 5, for dense residue rows a
+    and the packed rows b of B, every slot below 2^26 + 5; every slot of
+    the result is congruent to the exact entry and again below 2^26 + 5.
+
+    Row i is sum_j a_ij b_j, one C-level sum.  Its slot t is sum_j a_ij B_jt,
+    n = len(b) terms each at most (p - 1)(2^26 + 4) < 2^52, so no slot
+    carries while n <= 4096.  Three folds x -> (x & LO) + 5 ((x >> 26) & HI)
+    reduce all slots at once: LO keeps the low 26 bits of each slot and HI
+    the low 38, so each slot h 2^26 + l becomes l + 5h < 2^26 + 5 * 2^38,
+    congruent as 2^26 = 5 mod p, with no carry: below 2^41 after one fold,
+    below 2^27 after two, and at most 2^26 + 4 after three.
+    """
+    lo, hi = (((1 << SLOT_BITS * ncols) - 1) // _SLOT_MASK * ((1 << w) - 1) for w in (26, 38))
+    rows = [sum(map(mul, row, b)) for row in a]
+    for _ in range(3):
+        rows = [(x & lo) + 5 * (x >> 26 & hi) for x in rows]
+    return rows
+
+
+def _gf_rank(rows: list[list[int]], p: int) -> int:
+    """The rank over GF(p), p a prime below 2^32, of rows of residues, by
+    Gaussian elimination on the rows packed (``_slots``).  A step clears the
+    pivot column c of a row by one big-int multiply-add, row += (p - g) top:
+    g is the row's slot c mod p, and top the pivot row reduced and scaled
+    once so that its slot c is 1, its slots before c (all 0 mod p) dropped.
+    Every slot is read mod p, so one that holds a nonzero multiple of p
+    counts as zero.  A step adds at most (p - 1)^2 to a slot, and a row
+    takes at most one per pivot, so a reduced row stays below
+    p + m (p - 1)^2 <= 2^64, with no carry, for m = (2^64 - p) // (p - 1)^2
+    pivots (4096 at p = 2^26 - 5); after every m pivots the rows still to
+    be eliminated are reduced again.
+    """
+    ncols = len(rows[0])
+    rows = [_slots(row) for row in rows]
+    steps = (2**64 - p) // (p - 1) ** 2
+    rank = 0
+    for c in range(ncols):
+        shift = SLOT_BITS * c
+        nonzero = [(i, g) for i, row in enumerate(rows[rank:], rank) if (g := (row >> shift & _SLOT_MASK) % p)]
+        if not nonzero:
+            continue
+        (piv, g), *rest = nonzero
+        rows[rank], rows[piv] = rows[piv], rows[rank]  # rows[rank] was 0 mod p in column c, if it moved
+        if rest:
+            inv = pow(g, -1, p)
+            top = _slots([x * inv % p for x in _unslots(rows[rank] >> shift, ncols - c)]) << shift
+            for i, g in rest:
+                rows[i] += (p - g) * top
+        rank += 1
+        if rank % steps == 0:
+            rows[rank:] = [_slots([x % p for x in _unslots(row, ncols)]) for row in rows[rank:]]
+    return rank
 
 
 def _bareiss(a: list[list[int]]) -> tuple[int, int, int]:

@@ -241,8 +241,8 @@ def test_symbolic_report_bytes_are_pinned(capsys, argv, sha256):
 CERTIFICATE_REPORTS = [
     (("independence", "--k", "10", "--random-point", "--seed", "0", "--jobs", "1"),
      "50040d395b1877c072a193ddc95d87db1e0c433e57d655ad742a75681f1ace06"),
-    # n = 17 rows: packed in one 64-bit slot per entry mod RANK_PRIME,
-    # though 17 (p - 1)^2 >= 2^64 for any prime p above 2^30
+    # n = 17 rows: the packed route mod RANK_PRIME, each slot of a product
+    # row below 17 (p - 1)(2^26 + 4) < 2^64 before its three folds
     (("independence", "--k", "16", "--random-point", "--seed", "3", "--jobs", "1"),
      "9208f3917e65eba35a154ba60aa3d175cb34ebe9bb10e9768c2ec45c5aa152c7"),
     (("invariant", "H", "--d", "8", "--n", "8", "--random", "--seed", "0", "--jobs", "1"),

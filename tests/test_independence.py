@@ -17,7 +17,7 @@ from binform.independence import (
     unstable_minor,
 )
 from binform.invariants import trace_invariant, transvection_matrix
-from binform.polyring import RingMatrix, det_exact, rank_exact
+from binform.polyring import RingMatrix, _gf_rank, det_exact, rank_exact
 from binform.transvect import t_coeff
 
 
@@ -170,7 +170,7 @@ def test_rank_mod_p_equals_exact_rank_on_low_rank_matrices():
             right = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
             prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
             exact = rank_exact(RingMatrix(prod))
-            assert independence._rank_mod([[x % RANK_PRIME for x in row] for row in prod], RANK_PRIME) == exact
+            assert _gf_rank([[x % RANK_PRIME for x in row] for row in prod], RANK_PRIME) == exact
 
 
 def test_rank_falls_back_to_bareiss_when_short_mod_p(monkeypatch):
@@ -274,37 +274,44 @@ def _sparse_form(k, rng, nonzero):
     return BinaryForm(coeffs)
 
 
+def _packs(form):
+    """Whether some row of the cleared A has two nonzero entries: the
+    per-form rule of the packed route mod RANK_PRIME."""
+    k, f = form.degree // 2, form.coeffs
+    return any(sum(1 for j in range(k + 1) if f[i - j + k]) > 1 for i in range(k + 1))
+
+
 def test_sparse_gradient_rows_against_dense_loop(monkeypatch):
-    # the sparse running power, mod p and exact, against the dense loop:
-    # the witness for every even k <= 30, seeded random forms for k <= 16,
-    # and forms with 1-3 nonzero coefficients, whose power rows fall on
-    # both sides of the density choice in polyring._times mod p: the
-    # sparse route and the packed route; every exact product is sparse
-    routes = set()
-    times = independence._times
-
-    def spy(a, b, right, modulus=None):
-        routes.update("sparse" if right is None or 2 * len(row) < len(b) else "packed" for row in a)
-        return times(a, b, right, modulus)
-
-    monkeypatch.setattr(independence, "_times", spy)
+    # both routes of the running power, mod p and exact, against the dense
+    # loop: the witness for every even k <= 30, seeded random forms for
+    # k <= 16, and forms with 1-3 nonzero coefficients, which fall on both
+    # sides of the per-form rule.  Mod RANK_PRIME a form takes the packed
+    # route exactly when a row of A has two nonzero entries; every exact
+    # power, and every power mod another prime, takes the sparse route
+    routes = []
+    times, folded = independence._times, independence._times_folded
+    monkeypatch.setattr(independence, "_times", lambda a, b, modulus=None: routes.append("sparse") or times(a, b, modulus))
+    monkeypatch.setattr(independence, "_times_folded", lambda a, b, n: routes.append("packed") or folded(a, b, n))
     rng = random.Random(30)
     sparse = [_sparse_form(k, rng, nz) for k in range(2, 13, 2) for nz in (1, 2, 3) for _ in range(3)]
     forms = [(unstable_form(k), k <= 12) for k in range(2, 31, 2)]
     forms += [(random_form(2 * k, rng, bound=b), k <= 10) for k in range(2, 17, 2) for b in (1, 9, 10 ** 6)]
     forms += [(_rational_form(2 * k, rng), k <= 10) for k in range(2, 17, 2)]
+    sides = set()
     for f, exact in forms + [(f, True) for f in sparse]:
+        routes.clear()
         assert list(independence._gradient_rows(f, RANK_PRIME)) == _dense_gradient_rows(f, RANK_PRIME), f.coeffs
+        assert set(routes) == {"packed" if _packs(f) else "sparse"}, f.coeffs
+        sides.add(routes[0])
+        routes.clear()
+        for p in (2, 7):
+            assert list(independence._gradient_rows(f, p)) == _dense_gradient_rows(f, p), f.coeffs
         if exact:
             assert list(independence._gradient_rows(f)) == _dense_gradient_rows(f), f.coeffs
-    routes.clear()
-    for f in sparse:
-        list(independence._gradient_rows(f, RANK_PRIME))
-    assert routes == {"sparse", "packed"}
-    routes.clear()
-    for f in sparse:
-        list(independence._gradient_rows(f))
-    assert routes == {"sparse"}
+        assert set(routes) == {"sparse"}
+    assert sides == {"sparse", "packed"}
+    assert not any(_packs(unstable_form(k)) for k in range(2, 31, 2))
+    assert {_packs(f) for f in sparse} == {False, True}
 
 
 def test_certificate_closed_form_against_nkr_and_minor():

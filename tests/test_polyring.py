@@ -12,9 +12,13 @@ from binform.polyring import (
     FIELD_BITS,
     MultiPoly,
     RingMatrix,
+    _dense,
     _dot,
-    _right_factor,
+    _gf_rank,
+    _slots,
     _times,
+    _times_folded,
+    _unslots,
     charpoly,
     det_exact,
     rank_exact,
@@ -505,9 +509,9 @@ def test_running_power_prepares_its_factor_once(monkeypatch):
     assert [list(r) for r in powers[-1].rows] == _fraction_product(powers[-2], m)
 
 
-def _times_mod_oracle(a, b, p):
-    """a @ b mod p by the sparse route of ``_times``, reduced after."""
-    return [{t: r for t, v in row.items() if (r := v % p)} for row in _times(a, b, None)]
+def _times_mod_oracle(a, b, ncols, p):
+    """a @ b mod p as dense rows: the exact sparse product, reduced after."""
+    return [[v % p for v in _dense(row, ncols)] for row in _times(a, b)]
 
 
 def _residue_rows(rng, nrows, ncols, p, density):
@@ -516,40 +520,110 @@ def _residue_rows(rng, nrows, ncols, p, density):
             for _ in range(nrows)]
 
 
+def _rank_mod(rows, p):
+    """Rank of residue rows over GF(p), p prime, by plain Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            if f := rows[i][col]:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _folded(a, b, ncols):
+    """``_times_folded`` on sparse residue rows a and b, slots unpacked."""
+    out = _times_folded([_dense(row, len(b)) for row in a], [_slots(_dense(row, ncols)) for row in b], ncols)
+    return [list(_unslots(x, ncols)) for x in out]
+
+
 @pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3, 16, 17, 61) for p in (RANK_PRIME, 2**30 - 35, 2, 7)]
                          + [(4, 2**31 - 1), (5, 2**31 - 1)])
 def test_packed_product_against_exact_route(p, n):
-    # dense, sparse and mixed left rows, all-zero rows on either side, and
-    # square and rectangular right factors; the 64-bit slots of n rows fit
-    # up to n = 16 at p = 2^30 - 35 and up to n = 4 at p = 2^31 - 1, and
-    # past that nothing packs
+    # the packed GF(p) layer against the exact sparse product reduced mod p:
+    # the folded product at p = RANK_PRIME, its one modulus, and the packed
+    # elimination of the product rows at every p; dense, sparse, mixed and
+    # all-zero rows, square and rectangular factors.  Products of an inner
+    # dimension n are rank-deficient once either side has more than n rows
+    # or columns, and the elimination reduces its rows again every
+    # (2^64 - p) // (p - 1)^2 pivots: every 4 at 2^31 - 1, every 16 at
+    # 2^30 - 35
     rng = random.Random(1000 * n + p % 1000)
-    packs = n * (p - 1) ** 2 < 2**64
-    packed_rows = 0
     for ncols in (n, n + 5, max(1, n // 2)):
         for density in (0.0, 0.2, 0.6, 1.0):
             a = _residue_rows(rng, n + 3, n, p, density) + [{}]
             b = _residue_rows(rng, n, ncols, p, 1.0 - density / 2)
             b[rng.randrange(n)] = {}
-            right = _right_factor(b, ncols, p)
-            assert (right is not None) == packs
-            packed_rows += sum(2 * len(row) >= n for row in a)
-            assert _times(a, b, right, p) == _times_mod_oracle(a, b, p)
-    assert packed_rows > 0
+            want = _times_mod_oracle(a, b, ncols, p)
+            if p == RANK_PRIME:
+                got = _folded(a, b, ncols)
+                assert all(x < 2**26 + 5 for row in got for x in row)
+                assert [[x % p for x in row] for row in got] == want
+            assert _gf_rank(want, p) == _rank_mod(want, p) <= min(n, ncols)
 
 
 def test_packed_slots_do_not_carry_at_the_bound():
-    # every entry p - 1: each slot sum is n (p - 1)^2, the largest a
-    # 64-bit slot is allowed to hold; RANK_PRIME packs up to n = 4096
-    for p, n, ncols in ((RANK_PRIME, 4096, 3), (RANK_PRIME, 61, 61), (RANK_PRIME, 61, 7),
-                        (2**31 - 1, 4, 5), (2, 61, 61), (257, 61, 30)):
-        a = [dict.fromkeys(range(n), p - 1) for _ in range(3)]
-        b = [dict.fromkeys(range(ncols), p - 1) for _ in range(n)]
-        right = _right_factor(b, ncols, p)
-        assert right is not None
-        assert _times(a, b, right, p) == _times_mod_oracle(a, b, p)
-        assert _times(a, b, right, p)[0] == dict.fromkeys(range(ncols), n * (p - 1) ** 2 % p)
-    assert _right_factor([{0: 1}] * 4097, 1, RANK_PRIME) is None
+    p = RANK_PRIME
+    top = 2**26 + 4  # the bound on a slot that three folds leave
+    # n = 4096 rows of residues p - 1 against slots at that maximum: each
+    # slot sums n (p - 1)(2^26 + 4) < 2^64, the largest a product may hold
+    for n, ncols in ((4096, 3), (61, 61), (1, 1), (1, 7)):
+        a = [[p - 1] * n for _ in range(2)]
+        b = [_slots([top] * ncols) for _ in range(n)]
+        assert n * (p - 1) * top < 2**64
+        for x in _times_folded(a, b, ncols):
+            assert all(y % p == n * (p - 1) * top % p and y <= top for y in _unslots(x, ncols))
+    # n = 1, the folds alone: the largest slot, 2^64 - 1, and others; every
+    # result is congruent and at most 2^26 + 4, and a reduced slot stays
+    rng = random.Random(4)
+    for x in (2**64 - 1, 2**63, 2**26 - 1, 2**26, top, p, 0) + tuple(rng.randrange(2**64) for _ in range(50)):
+        (y,) = _unslots(_times_folded([[1]], [_slots([x])], 1)[0], 1)
+        assert y % p == x % p and y <= top
+        assert y == x or x >= 2**26
+    mixed = [2**64 - 1, 5, 0, 2**26 - 1]
+    assert [y % p for y in _unslots(_times_folded([[1]], [_slots(mixed)], 4)[0], 4)] == [x % p for x in mixed]
+
+
+def test_packed_rank_against_rank_mod():
+    rng = random.Random(9)
+    for p in (RANK_PRIME, 2**31 - 1, 2**30 - 35, 65537, 7, 2):
+        # rank-deficient products of random factors, and random matrices
+        for rows, cols in ((1, 1), (3, 5), (6, 13), (12, 25), (25, 12), (40, 81)):
+            for inner in sorted({1, rows // 2 + 1, rows}):
+                left = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
+                right = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
+                prod = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
+                assert _gf_rank(prod, p) == _rank_mod(prod, p) <= inner
+            full = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+            assert _gf_rank(full, p) == _rank_mod(full, p)
+        # a step leaves slot 1 of the second row at p, a nonzero multiple of
+        # p that must count as zero
+        assert _gf_rank([[1, 1], [1, 1]], p) == 1
+        assert _gf_rank([[1, 1, 0], [1, 1, 1]], p) == 2
+        assert _gf_rank([[0, 0], [0, 0]], p) == 0
+
+
+def test_packed_rank_reduces_rows_at_the_step_bound():
+    # at p = 2^31 - 1 a step adds up to (p - 1)^2 ~ 2^62 to a slot, so a row
+    # may take only (2^64 - p) // (p - 1)^2 = 4 steps between reductions;
+    # upper-triangular pivots with slots p - 1 give the later rows steps of
+    # nearly that size at every pivot, past the bound many times over
+    for p in (2**31 - 1, 2**30 - 35, RANK_PRIME):
+        steps = (2**64 - p) // (p - 1) ** 2
+        assert steps == {2**31 - 1: 4, 2**30 - 35: 16, RANK_PRIME: 4096}[p]
+        for m in (steps - 1, steps, steps + 1, 2 * steps + 3):
+            if m > 40:
+                continue
+            pivots = [[0] * i + [1] + [p - 1] * (m - i) for i in range(m)]
+            rows = pivots + [[1] * (m + 1), [2] * (m + 1), [1] * m + [0]]
+            assert _gf_rank(rows, p) == _rank_mod(rows, p)
 
 
 def _power(m, p):
