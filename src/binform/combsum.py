@@ -103,11 +103,19 @@ def nkr(k: int, r: int) -> int:
     """The alternating sum of sliding products of binomials
 
         N(k, r) = sum_{j=0..k-r+1} (-1)^(r j) C(k, j) C(k, j+1) ... C(k, j+r-1).
+
+    One sliding product: each window's is the last one's times the binomial
+    that enters, exactly divided by the one that leaves, so N(k, r) costs
+    O(k) big-int steps and not O(k r).
     """
     if k < 2 or not 2 <= r <= k + 1:
         raise ValueError(f"need k >= 2 and 2 <= r <= k+1, got (k, r) = ({k}, {r})")
-    row = [binom_ext(k, t) for t in range(k + 1)]
-    return sum(alt_sign(r * j) * math.prod(row[j:j + r]) for j in range(k - r + 2))
+    row = [math.comb(k, t) for t in range(k + 1)]
+    total = prod = math.prod(row[:r])
+    for j in range(1, k - r + 2):
+        prod = prod * row[j + r - 1] // row[j - 1]
+        total += -prod if r * j & 1 else prod
+    return total
 
 
 def nkr_via_ups(p: int, q: int) -> Fraction:

@@ -18,16 +18,17 @@ and one running integer power of A serves every row.  W_ij factors as
 as a table (``_weights``).  The rank runs the loop mod a 26-bit prime
 (see ``jacobian_rank``) in the packed GF(p) layer of ``polyring``, from
 the running power (``_times_folded``) to the elimination (``_gf_rank``);
-exact powers and the witness's take sparse rows (``_times``).  Should
-the rank mod p fall short, the route eliminates the integer rows N_r
-themselves; only the public oracle ``jacobian_matrix`` builds Fractions.
+other exact powers take sparse rows (``_times``).  Should the rank mod p
+fall short, the route eliminates the integer rows N_r themselves; only
+the public oracle ``jacobian_matrix`` builds Fractions.
 
 Specializing at the nullcone form x1^(k-1) x2^(k+1) collapses each row
 to a single entry with an explicit closed form in N(k, r); the k x k minor
 on columns 0..k-1 is then an antidiagonal determinant, nonzero exactly
 when every N(k, r) is nonzero.  There A has one nonzero entry per row,
-and so has every power, so each product of the running power costs O(k)
-and the whole witness O(k^2); the certificate's minor is the integer
+and so has every power, so the running power is a column and a value per
+row (``_times_monomial``), each product costs O(k) and the whole witness
+O(k^2), exact or mod p; the certificate's minor is the integer
 antidiagonal product over one denominator, from the N(k, r) it reports.
 """
 
@@ -36,13 +37,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 from .combsum import nkr
 from .exactnum import alt_sign, binom_ext
 from .forms import BinaryForm, random_form, unstable_form
 from .invariants import _check_fk
-from .polyring import (SLOT_BITS, RingMatrix, _bareiss, _dense, _FOLD_PRIME, _gf_rank, _slots, _times,
-                       _times_folded, _unslots)
+from .polyring import SLOT_BITS, RingMatrix, _bareiss, _FOLD_PRIME, _gf_rank, _slots, _times, _times_folded, _unslots
 
 # The prime of the modular rank proof, that of the packed layer of ``polyring``:
 # any prime gives a proof, and a large one makes the exact fallback rare.
@@ -63,57 +64,102 @@ def _weights(k: int) -> tuple[list[int], list[int], int]:
     return [math.comb(k, j) for j in range(k + 1)], [e // b for b in binoms], e
 
 
+def _times_monomial(a: tuple[list[int], list[int]], b: tuple[list[int], list[int]],
+                    modulus: int | None = None) -> tuple[list[int], list[int]]:
+    """The product a @ b of two matrices that hold at most one nonzero entry
+    per row, each given as (columns, values), value 0 for an empty row, and
+    reduced mod ``modulus`` if one is given: row i of a @ b is a_i times row
+    col_i of b, so it is again one entry."""
+    (col, val), (bcol, bval) = a, b
+    if modulus:
+        return [bcol[j] for j in col], [x * bval[j] % modulus for j, x in zip(col, val)]
+    return [bcol[j] for j in col], [x * bval[j] for j, x in zip(col, val)]
+
+
 def _gradient_rows(form: BinaryForm, modulus: int | None = None):
     """Yield (scale, row) for r = 2..k+1: the gradient of tr(M^r) at the
     numeric form is scale * row, for the integer row N_r of the module
     docstring.
 
-    Clearing the form to F / D_f (``RingMatrix._integral``) gives M = A / D
-    with A_ij = F_(i-j+k) W_ji and D = D_f E (``_weights``).  The running
-    power is P = A^(r-1) diag(C), stepped by P <- A P, so that
+    Clearing the form to F / D_f gives M = A / D with D = D_f E
+    (``_weights``) and A_ij = (-1)^i C(k, i) g[i-j+k], for the signed
+    coefficients g[s] = (-1)^s Q[s] F_s: row i of A is a reversed window
+    of g.  The running power is P = A^(r-1) diag(C), stepped by P <- A P,
+    so that
 
         row[s] = Q[s] * sum_{j-i+k=s} (-1)^(k-i) P_ij,
 
     over the rows i of each sign apart, and the scale is r / (D^(r-1) E).
-    With a modulus every value is reduced mod it, and scale is None.  Mod
-    ``polyring._FOLD_PRIME``, when a row of A has two nonzero entries, P is
-    packed (``polyring._times_folded``), and row i shifted by k - i slots
-    puts P_ij in slot s, so one sum of shifted rows per sign holds the inner
-    sums.  Otherwise P is sparse rows (``polyring._times``), as for every
-    exact power and at the witness, where a product costs O(k).
+    With a modulus every value is reduced mod it, and scale is None.
+
+    The route follows the form.  When no k+1 consecutive coefficients hold
+    two nonzeros, each row of A has at most one nonzero entry, and so has
+    each power: A and P are a column and a value per row (value 0 for an
+    empty row), and a product is two list comprehensions, O(k), exact or
+    mod any prime.  The witness and every monomial form take this route.
+    Otherwise, mod ``polyring._FOLD_PRIME``, P is packed
+    (``polyring._times_folded``), and row i shifted by k - i slots puts
+    P_ij in slot s, so one sum of shifted rows per sign holds the inner
+    sums; exactly or mod another prime, P is sparse rows
+    (``polyring._times``).
     """
     if not form.is_numeric():
         raise ValueError("the Jacobian is evaluated at numeric forms")
     k = _check_fk(form, form.degree // 2)
-    n = k + 1
+    n, m = k + 1, modulus
     combs, quotients, e = _weights(k)
-    (f,), fden = RingMatrix([form.coeffs])._integral()
-    a = [{j: alt_sign(k - j) * c * quotients[s] * x for s, x in f.items() if 0 <= (j := i - s + k) <= k}
-         for i, c in enumerate(combs)]
+    fden = math.lcm(*[c.denominator for c in form.coeffs])
+    g = [(-q if s & 1 else q) * (c.numerator * (fden // c.denominator))
+         for s, (q, c) in enumerate(zip(quotients, form.coeffs))]
     d = fden * e  # M = A / d
-    power = [{j: x * combs[j] for j, x in row.items()} for row in a]
-    if modulus is not None:
-        a, power = ([{j: v for j, x in row.items() if (v := x % modulus)} for row in m] for m in (a, power))
-        quotients = [x % modulus for x in quotients]
-    packed = modulus == _FOLD_PRIME and n <= 4096 and max(map(len, a)) > 1
-    if packed:
-        a, power = [_dense(row, n) for row in a], [_slots(_dense(row, n)) for row in power]
+    signs = [-c if i & 1 else c for i, c in enumerate(combs)]  # (-1)^i C(k, i)
+    support = [s for s, x in enumerate(g) if x]
+    if m:
+        g, signs, quotients = ([x % m for x in v] for v in (g, signs, quotients))
+    if all(t - s > k for s, t in zip(support, support[1:])):
+        route = "monomial"
+        col, val = [0] * n, [0] * n
+        for s in support:  # g[s] lies in rows i = s-k..s of A, at column i - s + k
+            for i in range(max(s - k, 0), min(s, k) + 1):
+                col[i], val[i] = i - s + k, signs[i] * g[s]
+        power = [x * combs[j] for j, x in zip(col, val)]
+        if m:
+            val, power = [x % m for x in val], [x % m for x in power]
+        a, power = (col, val), (col, power)
+    else:
+        route = "packed" if m == _FOLD_PRIME and n <= 4096 else "sparse"
+        rev = g[::-1]
+        a = [[c * x for x in rev[k - i:2 * k + 1 - i]] for i, c in enumerate(signs)]
+        power = [list(map(mul, row, combs)) for row in a]
+        if m:
+            a, power = ([[x % m for x in row] for row in v] for v in (a, power))
+        if route == "packed":
+            power = list(map(_slots, power))
+        else:
+            a, power = ([{j: x for j, x in enumerate(row) if x} for row in v] for v in (a, power))
     for r in range(2, k + 2):
         if r > 2:
-            power = _times_folded(a, power, n) if packed else _times(a, power, modulus)
-        if packed:
+            if route == "packed":
+                power = _times_folded(a, power, n)
+            else:
+                power = (_times_monomial if route == "monomial" else _times)(a, power, m)
+        if route == "packed":
             plus, minus = (_unslots(sum(x << SLOT_BITS * (k - i) for i, x in enumerate(power) if i % 2 == odd),
                                     2 * k + 1) for odd in (0, 1))  # rows i with (-1)^(k-i) = +1, -1
         else:
             plus, minus = sums = [0] * (2 * k + 1), [0] * (2 * k + 1)
-            for shift, prow in zip(range(k, -1, -1), power):  # s = j - i + k
-                part = sums[shift & 1]
-                for j, x in prow.items():
-                    part[j + shift] += x
-        if modulus is None:
+            if route == "monomial":
+                for i, j, x in zip(range(n), *power):  # s = j - i + k
+                    sums[i & 1][j - i + k] += x
+            else:
+                for shift, prow in zip(range(k, -1, -1), power):
+                    part = sums[shift & 1]
+                    for j, x in prow.items():
+                        part[j + shift] += x
+        if m is None:
             yield Fraction(r, d ** (r - 1) * e), [q * (x - y) for q, x, y in zip(quotients, plus, minus)]
         else:
-            yield None, [q * (x - y) % modulus for q, x, y in zip(quotients, plus, minus)]
+            yield None, [q * (x - y) % m for q, x, y in zip(quotients, plus, minus)]
 
 
 def jacobian_matrix(form: BinaryForm) -> RingMatrix:

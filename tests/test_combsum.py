@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,23 @@ def test_nkr_values():
     assert nkr(2, 2) == 4
     assert nkr(2, 3) == 2
     assert nkr(4, 3) == -48
+
+
+def _nkr_windows(k, r):
+    """N(k, r) with every window's product of r binomials multiplied out."""
+    row = [math.comb(k, t) for t in range(k + 1)]
+    return sum((-1) ** (r * j) * math.prod(row[j:j + r]) for j in range(k - r + 2))
+
+
+def test_nkr_sliding_product_against_window_products():
+    # the sliding product against the per-window products for every k <= 40
+    # and every r, and against the ups bridge at every (2p, 2q+1) among them
+    for k in range(2, 41):
+        for r in range(2, k + 2):
+            assert nkr(k, r) == _nkr_windows(k, r), (k, r)
+    for p in range(1, 21):
+        for q in range(1, p + 1):
+            assert nkr(2 * p, 2 * q + 1) == nkr_via_ups(p, q), (p, q)
 
 
 def test_nkr_range_errors():

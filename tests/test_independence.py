@@ -276,42 +276,56 @@ def _sparse_form(k, rng, nonzero):
 
 def _packs(form):
     """Whether some row of the cleared A has two nonzero entries: the
-    per-form rule of the packed route mod RANK_PRIME."""
+    per-form rule between the monomial route and the other two."""
     k, f = form.degree // 2, form.coeffs
     return any(sum(1 for j in range(k + 1) if f[i - j + k]) > 1 for i in range(k + 1))
 
 
+def _monomials(k):
+    """Every monomial form x1^(2k-s) x2^s, the zero form, and forms with
+    two nonzero coefficients k + 1 apart (rows of one entry each) and k
+    apart (a row of two): the edges of the monomial route's rule."""
+    forms = [BinaryForm([Fraction(int(t == s)) for t in range(2 * k + 1)]) for s in range(2 * k + 1)]
+    forms.append(BinaryForm([Fraction(0)] * (2 * k + 1)))
+    for gap in (k + 1, k):
+        forms.append(BinaryForm([Fraction((t == 0) - 3 * (t == gap), 1 + (t == gap)) for t in range(2 * k + 1)]))
+    return forms
+
+
 def test_sparse_gradient_rows_against_dense_loop(monkeypatch):
-    # both routes of the running power, mod p and exact, against the dense
-    # loop: the witness for every even k <= 30, seeded random forms for
-    # k <= 16, and forms with 1-3 nonzero coefficients, which fall on both
-    # sides of the per-form rule.  Mod RANK_PRIME a form takes the packed
-    # route exactly when a row of A has two nonzero entries; every exact
-    # power, and every power mod another prime, takes the sparse route
+    # the three routes of the running power, mod p and exact, against the
+    # dense loop: the witness for every even k <= 30, seeded random forms
+    # for k <= 16, forms with 1-3 nonzero coefficients, and every monomial
+    # form for even k <= 12, which give a diagonal A, a shifted one and
+    # empty rows.  A form whose cleared A has at most one nonzero entry per
+    # row takes the monomial route at every modulus and exactly; any other
+    # form takes the packed route mod RANK_PRIME and the sparse route
+    # exactly and mod another prime
     routes = []
-    times, folded = independence._times, independence._times_folded
+    times, folded, monomial = independence._times, independence._times_folded, independence._times_monomial
     monkeypatch.setattr(independence, "_times", lambda a, b, modulus=None: routes.append("sparse") or times(a, b, modulus))
     monkeypatch.setattr(independence, "_times_folded", lambda a, b, n: routes.append("packed") or folded(a, b, n))
+    monkeypatch.setattr(independence, "_times_monomial",
+                        lambda a, b, modulus=None: routes.append("monomial") or monomial(a, b, modulus))
     rng = random.Random(30)
     sparse = [_sparse_form(k, rng, nz) for k in range(2, 13, 2) for nz in (1, 2, 3) for _ in range(3)]
+    sparse += [f for k in range(2, 13, 2) for f in _monomials(k)]
     forms = [(unstable_form(k), k <= 12) for k in range(2, 31, 2)]
     forms += [(random_form(2 * k, rng, bound=b), k <= 10) for k in range(2, 17, 2) for b in (1, 9, 10 ** 6)]
     forms += [(_rational_form(2 * k, rng), k <= 10) for k in range(2, 17, 2)]
-    sides = set()
+    sides = {p: set() for p in (RANK_PRIME, 2, 7, None)}
     for f, exact in forms + [(f, True) for f in sparse]:
-        routes.clear()
-        assert list(independence._gradient_rows(f, RANK_PRIME)) == _dense_gradient_rows(f, RANK_PRIME), f.coeffs
-        assert set(routes) == {"packed" if _packs(f) else "sparse"}, f.coeffs
-        sides.add(routes[0])
-        routes.clear()
-        for p in (2, 7):
-            assert list(independence._gradient_rows(f, p)) == _dense_gradient_rows(f, p), f.coeffs
-        if exact:
-            assert list(independence._gradient_rows(f)) == _dense_gradient_rows(f), f.coeffs
-        assert set(routes) == {"sparse"}
-    assert sides == {"sparse", "packed"}
+        for p in (RANK_PRIME, 2, 7, None) if exact else (RANK_PRIME, 2, 7):
+            routes.clear()
+            assert list(independence._gradient_rows(f, p)) == _dense_gradient_rows(f, p), (f.coeffs, p)
+            other = "packed" if p == RANK_PRIME else "sparse"
+            assert set(routes) == {other if _packs(f) else "monomial"}, (f.coeffs, p)
+            sides[p].add(routes[0])
+    assert sides == {RANK_PRIME: {"monomial", "packed"}, 2: {"monomial", "sparse"}, 7: {"monomial", "sparse"},
+                     None: {"monomial", "sparse"}}
     assert not any(_packs(unstable_form(k)) for k in range(2, 31, 2))
     assert {_packs(f) for f in sparse} == {False, True}
+    assert [_packs(f) for f in _monomials(4)[-3:]] == [False, False, True]
 
 
 def test_certificate_closed_form_against_nkr_and_minor():
